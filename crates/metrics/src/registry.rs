@@ -361,16 +361,10 @@ pub fn log2_percentile(buckets: &[(u8, u64)], permille: u32) -> Option<u64> {
     })
 }
 
-/// FNV-1a over a byte slice — same constants as `TraceLog::digest`, so
-/// golden values from both subsystems live in one hash family.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
+/// FNV-1a over a byte slice — the kernel's hash, with the same constants
+/// as `TraceLog::digest`, so golden values from every subsystem live in
+/// one hash family.
+pub use mlb_simkernel::rng::fnv1a;
 
 /// Sink that renders each record as one JSON object per line.
 ///

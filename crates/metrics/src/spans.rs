@@ -22,6 +22,7 @@
 
 use std::collections::VecDeque;
 
+use mlb_simkernel::rng::{fnv1a, fnv1a_extend};
 use mlb_simkernel::time::{SimDuration, SimTime};
 
 /// One typed lifecycle event in a request's trace.
@@ -711,13 +712,9 @@ impl TraceLog {
     /// attribution and stall window — two identical simulations must
     /// produce identical digests.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        // FNV-1a of the empty input is the offset basis.
+        let mut h = fnv1a(&[]);
+        let mut mix = |v: u64| h = fnv1a_extend(h, &v.to_le_bytes());
         let mut mix_event = |id: u64, e: &SpanEvent| {
             mix(id);
             mix(e.at.as_micros());

@@ -52,10 +52,7 @@ impl SplitMix64 {
     /// Returns the next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix_finalise(self.state)
     }
 
     /// Returns a uniform draw from `[0, n)` without modulo bias, using
@@ -248,14 +245,39 @@ impl SeedSequence {
     }
 }
 
+/// SplitMix64's output finaliser: a bijective 64-bit mix in which every
+/// input bit affects every output bit.
+pub(crate) fn splitmix_finalise(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Not the published 64-bit FNV prime (`0x100_0000_01b3`): every golden
+/// digest in the workspace was pinned with this constant, so it stays.
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice (with this workspace's prime, see
+/// `FNV_PRIME`): the hash behind stream names here
+/// and behind every golden digest in the workspace (registry, trace and
+/// profile exports).
+///
+/// ```
+/// use mlb_simkernel::rng::{fnv1a, fnv1a_extend};
+///
+/// assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325); // the offset basis
+/// assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"c"), fnv1a(b"abc"));
+/// ```
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV_OFFSET, bytes)
 }
 
-fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Continues an FNV-1a hash over more bytes:
+/// `fnv1a_extend(fnv1a(a), b)` equals the [`fnv1a`] of `a` followed by `b`.
+#[inline]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -39,7 +39,7 @@
 //! assert_eq!(report.events_processed, 5);
 //! ```
 
-use crate::prof::{KernelProfile, KernelProfiler, Phase};
+use crate::prof::{KernelProfile, KernelProfiler, Phase, Stamp};
 use crate::queue::{EventQueue, InstantBatch};
 use crate::time::{SimDuration, SimTime};
 
@@ -97,15 +97,15 @@ impl<'a, E> Scheduler<'a, E> {
         self.now
     }
 
-    /// Pushes into the queue, attributing the push's wall time to the
-    /// `Schedule` phase when profiling is on. Both paths execute the
-    /// exact same queue operation.
+    /// Pushes into the queue, counting the push (and timing it when it
+    /// is sampled) in the `Schedule` phase when profiling is on. Both
+    /// paths execute the exact same queue operation.
     fn push_profiled(&mut self, at: SimTime, event: E) {
         match self.prof.as_deref_mut() {
             Some(prof) => {
-                let t0 = prof.clock_ns();
+                let stamp = prof.begin(Phase::Schedule);
                 self.queue.push(at, event);
-                prof.phase_add(Phase::Schedule, t0);
+                prof.end(Phase::Schedule, stamp);
             }
             None => self.queue.push(at, event),
         }
@@ -283,33 +283,11 @@ impl<M: Model> Simulation<M> {
     /// Processes a single event, if one is pending. Returns `true` if an
     /// event was handled.
     pub fn step(&mut self) -> bool {
-        let d0 = self.prof.as_ref().map(KernelProfiler::clock_ns);
+        let drain = self.prof_begin(Phase::Drain);
         match self.queue.pop() {
             Some((time, event)) => {
-                if let (Some(prof), Some(d0)) = (self.prof.as_mut(), d0) {
-                    prof.phase_add(Phase::Drain, d0);
-                }
-                debug_assert!(time >= self.now, "event queue went backwards");
-                self.now = time;
-                let kind = if self.prof.is_some() {
-                    M::event_kind(&event)
-                } else {
-                    0
-                };
-                let h0 = self.prof.as_ref().map(KernelProfiler::clock_ns);
-                let mut halt = false;
-                let mut sched = Scheduler {
-                    now: time,
-                    queue: &mut self.queue,
-                    halt: &mut halt,
-                    batch_pending: 0,
-                    prof: self.prof.as_mut(),
-                };
-                self.model.handle(time, event, &mut sched);
-                if let (Some(prof), Some(h0)) = (self.prof.as_mut(), h0) {
-                    prof.record_event(kind, h0);
-                }
-                self.events_processed += 1;
+                self.prof_end(Phase::Drain, drain);
+                self.handle_event(time, event, 0);
                 true
             }
             None => false,
@@ -334,7 +312,7 @@ impl<M: Model> Simulation<M> {
         let start_count = self.events_processed;
         let mut batch = InstantBatch::new();
         loop {
-            let d0 = self.prof.as_ref().map(KernelProfiler::clock_ns);
+            let drain = self.prof_begin(Phase::Drain);
             match self.queue.peek_time() {
                 None => {
                     return RunReport {
@@ -357,31 +335,9 @@ impl<M: Model> Simulation<M> {
                         .drain_instant(&mut batch)
                         // simlint::allow(panic-hygiene): peek_time() just returned Some and nothing else pops the queue
                         .expect("peeked event vanished");
-                    if let (Some(prof), Some(d0)) = (self.prof.as_mut(), d0) {
-                        prof.phase_add(Phase::Drain, d0);
-                    }
-                    self.now = time;
+                    self.prof_end(Phase::Drain, drain);
                     while let Some(event) = batch.next_event() {
-                        let kind = if self.prof.is_some() {
-                            M::event_kind(&event)
-                        } else {
-                            0
-                        };
-                        let h0 = self.prof.as_ref().map(KernelProfiler::clock_ns);
-                        let mut halt = false;
-                        let mut sched = Scheduler {
-                            now: time,
-                            queue: &mut self.queue,
-                            halt: &mut halt,
-                            batch_pending: batch.remaining(),
-                            prof: self.prof.as_mut(),
-                        };
-                        self.model.handle(time, event, &mut sched);
-                        if let (Some(prof), Some(h0)) = (self.prof.as_mut(), h0) {
-                            prof.record_event(kind, h0);
-                        }
-                        self.events_processed += 1;
-                        if halt {
+                        if self.handle_event(time, event, batch.remaining()) {
                             self.queue.restore(&mut batch);
                             return RunReport {
                                 events_processed: self.events_processed - start_count,
@@ -392,6 +348,53 @@ impl<M: Model> Simulation<M> {
                     }
                 }
             }
+        }
+    }
+
+    /// Hands one event popped at `time` to the model, with
+    /// `batch_pending` same-instant events still waiting behind it, and
+    /// returns whether the model asked to halt. The single path by which
+    /// both [`Simulation::step`] and [`Simulation::run_until`] handle an
+    /// event, so the profiler brackets handlers in one place.
+    #[inline]
+    fn handle_event(&mut self, time: SimTime, event: M::Event, batch_pending: usize) -> bool {
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        let kind = if self.prof.is_some() {
+            M::event_kind(&event)
+        } else {
+            0
+        };
+        let stamp = self.prof_begin(Phase::Handle);
+        let mut halt = false;
+        let mut sched = Scheduler {
+            now: time,
+            queue: &mut self.queue,
+            halt: &mut halt,
+            batch_pending,
+            prof: self.prof.as_mut(),
+        };
+        self.model.handle(time, event, &mut sched);
+        if let Some(prof) = self.prof.as_mut() {
+            prof.end_event(kind, stamp);
+        }
+        self.events_processed += 1;
+        halt
+    }
+
+    /// Opens a profiler bracket around the next `phase` item, when
+    /// profiling is on.
+    #[inline]
+    fn prof_begin(&mut self, phase: Phase) -> Option<Stamp> {
+        self.prof.as_mut().and_then(|prof| prof.begin(phase))
+    }
+
+    /// Closes a bracket opened by [`Simulation::prof_begin`], counting
+    /// the item.
+    #[inline]
+    fn prof_end(&mut self, phase: Phase, stamp: Option<Stamp>) {
+        if let Some(prof) = self.prof.as_mut() {
+            prof.end(phase, stamp);
         }
     }
 
@@ -647,5 +650,105 @@ mod tests {
         };
         assert_eq!(profile.kind_counts, vec![0, 1]);
         assert_eq!(profile.phase_count(Phase::Drain), 1);
+    }
+
+    /// Eight interleaved event chains whose timestamps collide, so
+    /// instants hold several events: five kinds, one push per handled
+    /// event until the chains end. Records an independent tally of what
+    /// the profiler counts.
+    struct Storm {
+        kinds: Vec<usize>,
+        instants: u64,
+        last: Option<SimTime>,
+        pushes: u64,
+    }
+
+    /// Chains stop pushing once their event value reaches this.
+    const STORM_LAST: u32 = 2_000;
+
+    impl Model for Storm {
+        type Event = u32;
+        fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<'_, u32>) {
+            self.kinds.push(Self::event_kind(&ev));
+            if self.last != Some(now) {
+                self.instants += 1;
+                self.last = Some(now);
+            }
+            if ev < STORM_LAST {
+                let delay = SimDuration::from_millis(u64::from(ev % 3) + 1);
+                sched.after(delay, ev + 8);
+                self.pushes += 1;
+            }
+        }
+        fn event_kind_names() -> &'static [&'static str] {
+            &["a", "b", "c", "d", "e"]
+        }
+        fn event_kind(event: &u32) -> usize {
+            (*event % 5) as usize
+        }
+    }
+
+    fn storm() -> Simulation<Storm> {
+        let mut sim = Simulation::new(Storm {
+            kinds: Vec::new(),
+            instants: 0,
+            last: None,
+            pushes: 0,
+        });
+        sim.enable_profiling();
+        for ev in 0..8 {
+            sim.schedule(SimTime::ZERO, ev);
+        }
+        sim.run_to_completion();
+        sim
+    }
+
+    #[test]
+    fn sampled_profile_keeps_every_count_exact_and_samples_deterministically() {
+        use crate::prof::{is_sampled, SAMPLE_EVERY};
+
+        let sim = storm();
+        let Some(profile) = sim.profile_snapshot() else {
+            panic!("profiling was enabled")
+        };
+        let tally = sim.model();
+        let events = tally.kinds.len() as u64;
+        assert!(events > 10 * SAMPLE_EVERY, "only {events} events");
+        assert!(tally.instants < events, "no instant held two events");
+
+        let mut kind_counts = vec![0u64; 5];
+        for &k in &tally.kinds {
+            kind_counts[k] += 1;
+        }
+        assert_eq!(profile.kind_counts, kind_counts);
+        assert_eq!(profile.phase_count(Phase::Drain), tally.instants);
+        assert_eq!(profile.phase_count(Phase::Handle), events);
+        assert_eq!(profile.phase_count(Phase::Schedule), tally.pushes);
+
+        // The timed handlers are exactly the sampled indices of the
+        // handle stream, whichever kind each one was.
+        let mut expected = vec![0u64; 5];
+        for (i, &k) in tally.kinds.iter().enumerate() {
+            if is_sampled(Phase::Handle, i as u64) {
+                expected[k] += 1;
+            }
+        }
+        let Some(prof) = sim.prof.as_ref() else {
+            panic!("profiling was enabled")
+        };
+        assert_eq!(prof.kind_sampled(), expected.as_slice());
+        assert_eq!(expected.iter().sum::<u64>(), events / SAMPLE_EVERY);
+
+        // A second run samples the same events and counts the same.
+        let again = storm();
+        let Some(again_prof) = again.prof.as_ref() else {
+            panic!("profiling was enabled")
+        };
+        assert_eq!(again_prof.kind_sampled(), prof.kind_sampled());
+        let Some(again_profile) = again.profile_snapshot() else {
+            panic!("profiling was enabled")
+        };
+        assert_eq!(again_profile.kind_counts, profile.kind_counts);
+        assert_eq!(again_profile.phase_counts, profile.phase_counts);
     }
 }

@@ -32,11 +32,20 @@ fn run(cfg: SystemConfig) -> ExperimentResult {
 fn profiled_runs_match_the_unprofiled_golden_digests() {
     // The same golden values `reproducibility.rs` pins for *unprofiled*
     // runs. If enabling the profiler shifts a single event, these
-    // digests — a hash of every span event in order — change.
-    for (seed, digest, completed, vlrt) in [
-        (7u64, 0x65f93bed2ae175cb_u64, 16_156u64, 873u64),
-        (8, 0xbd91f4ce1dc729a4, 15_484, 847),
-        (42, 0x0b12e81742847ad2, 15_692, 767),
+    // digests — a hash of every span event in order — change. The last
+    // column pins the profile's own wall-ns-excluded export
+    // (`ProfileReport::deterministic_digest`): every count, exact even
+    // though only a sample of events is timed.
+    for (seed, digest, completed, vlrt, prof_digest) in [
+        (
+            7u64,
+            0x65f93bed2ae175cb_u64,
+            16_156u64,
+            873u64,
+            0xa2b4191757402f71_u64,
+        ),
+        (8, 0xbd91f4ce1dc729a4, 15_484, 847, 0x9d8dfe52d9510e19),
+        (42, 0x0b12e81742847ad2, 15_692, 767, 0x11d8b1d071fa4513),
     ] {
         let mut cfg = smoke(seed);
         cfg.trace = TraceConfig::enabled_default();
@@ -55,6 +64,11 @@ fn profiled_runs_match_the_unprofiled_golden_digests() {
             profile.kernel.events_total(),
             r.events_processed,
             "seed {seed}: the profile must account for every kernel event"
+        );
+        assert_eq!(
+            profile.deterministic_digest(),
+            prof_digest,
+            "seed {seed}: a prof.* count drifted"
         );
     }
 }
