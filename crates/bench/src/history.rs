@@ -9,12 +9,15 @@
 //! The paper's moral — coarse snapshots hide millibottlenecks — applied
 //! to the harness itself.
 //!
-//! The JSON here is hand-rolled both ways (the workspace carries no
-//! serde): a fixed-key-order writer and a small recursive-descent reader
-//! that tolerates unknown keys, so old readers survive new fields.
+//! The JSON here is hand-rolled (the workspace carries no serde): a
+//! fixed-key-order writer here, and simlint's dependency-free reader
+//! (`mlb_simlint::json`) for ledger lines, which tolerates unknown
+//! keys, so old readers survive new fields.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use mlb_simlint::json::{self, Value};
 
 /// Version of the ledger line format. Bump when a reader of version N
 /// could misinterpret a version N+1 line (adding keys is fine).
@@ -192,28 +195,33 @@ impl HistoryRecord {
     ///
     /// Returns a description of the first syntax or shape problem.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let value = parse_json(line)?;
-        let obj = value.as_obj().ok_or("record line is not an object")?;
-        let schema_version = get_num(obj, "schema_version")? as u32;
-        let bench = get_str(obj, "bench")?;
-        let commit = get_str(obj, "commit")?;
-        let host = get_str(obj, "host")?;
-        let seeds = get(obj, "seeds")?
+        let obj = json::parse(line)?;
+        if !matches!(obj, Value::Obj(_)) {
+            return Err("record line is not an object".to_owned());
+        }
+        let schema_version = get_num(&obj, "schema_version")? as u32;
+        let bench = get_str(&obj, "bench")?;
+        let commit = get_str(&obj, "commit")?;
+        let host = get_str(&obj, "host")?;
+        let seeds = get(&obj, "seeds")?
             .as_arr()
             .ok_or("\"seeds\" is not an array")?
             .iter()
             .map(|v| v.as_num().map(|n| n as u64).ok_or("non-numeric seed"))
             .collect::<Result<Vec<u64>, _>>()?;
         let mut points = Vec::new();
-        for p in get(obj, "points")?
+        for p in get(&obj, "points")?
             .as_arr()
             .ok_or("\"points\" is not an array")?
         {
-            let pobj = p.as_obj().ok_or("point is not an object")?;
-            let key = get_str(pobj, "key")?;
-            let metrics = get(pobj, "metrics")?
-                .as_obj()
-                .ok_or("\"metrics\" is not an object")?
+            if !matches!(p, Value::Obj(_)) {
+                return Err("point is not an object".to_owned());
+            }
+            let key = get_str(p, "key")?;
+            let Value::Obj(metrics) = get(p, "metrics")? else {
+                return Err("\"metrics\" is not an object".to_owned());
+            };
+            let metrics = metrics
                 .iter()
                 .map(|(name, v)| {
                     v.as_num()
@@ -265,226 +273,21 @@ fn escape(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader (bench harness only — sim crates never parse).
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Objects keep insertion order (no hashing —
-/// deterministic like everything else in the workspace).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+fn get<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, String> {
+    obj.get(key).ok_or_else(|| format!("missing key \"{key}\""))
 }
 
-impl Json {
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
+fn get_str(obj: &Value, key: &str) -> Result<String, String> {
     get(obj, key)?
         .as_str()
         .map(str::to_owned)
         .ok_or_else(|| format!("\"{key}\" is not a string"))
 }
 
-fn get_num(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
+fn get_num(obj: &Value, key: &str) -> Result<f64, String> {
     get(obj, key)?
         .as_num()
         .ok_or_else(|| format!("\"{key}\" is not a number"))
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at offset {}", c as char, pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *bytes.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unsupported escape \\{}", other as char)),
-                }
-            }
-            b => {
-                // Re-assemble UTF-8 multibyte sequences byte by byte.
-                let start = *pos - 1;
-                let len = match b {
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    0xF0..=0xF7 => 4,
-                    _ => 1,
-                };
-                let chunk = bytes.get(start..start + len).ok_or("truncated UTF-8")?;
-                let s = std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8 in string")?;
-                out.push_str(s);
-                *pos = start + len;
-            }
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while let Some(&b) = bytes.get(*pos) {
-        if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
 }
 
 // ---------------------------------------------------------------------

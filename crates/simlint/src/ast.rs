@@ -40,11 +40,6 @@ impl Span {
             end_line: line,
         }
     }
-
-    /// Whether `line` falls inside this span.
-    pub fn covers_line(&self, line: u32) -> bool {
-        self.line <= line && line <= self.end_line
-    }
 }
 
 /// One parsed source file.
@@ -723,7 +718,9 @@ pub fn collect_item_spans(file: &File) -> Vec<Span> {
 }
 
 /// Walks every function (with its enclosing impl type name, if any)
-/// under the file's items, including functions nested in modules.
+/// under the file's items, including functions nested in modules but
+/// skipping `#[cfg(test)]` modules: the one function iterator shared by
+/// the summary engine and the rule checks.
 pub fn walk_fns<'a>(file: &'a File, f: &mut impl FnMut(Option<&'a str>, &'a Func)) {
     fn items<'a>(
         list: &'a [Item],
@@ -734,7 +731,7 @@ pub fn walk_fns<'a>(file: &'a File, f: &mut impl FnMut(Option<&'a str>, &'a Func
             match &item.kind {
                 ItemKind::Fn(func) => f(owner, func),
                 ItemKind::Impl(imp) => items(&imp.items, Some(&imp.ty_name), f),
-                ItemKind::Mod(m) => items(&m.items, owner, f),
+                ItemKind::Mod(m) if !m.cfg_test => items(&m.items, owner, f),
                 _ => {}
             }
         }

@@ -1,24 +1,35 @@
-//! Cross-file call graph and per-function taint summaries.
+//! Per-function summaries and the one bottom-up engine that computes
+//! them.
 //!
-//! This is the interprocedural layer on top of `dataflow.rs`. For every
-//! function defined in the flow-analyzed crates it computes a
-//! [`FnSummary`] describing how values move *through* the function:
-//! which parameters flow to the return value, which parameters reach an
-//! event-scheduling sink inside the body (directly or via further
-//! calls), and whether the return value is itself a nondeterminism
-//! source or a hash-ordered collection. `dataflow.rs` then consumes the
-//! summaries at call sites, so a taint laundered through a helper —
-//! `sched.schedule(hop1(stamp), 0)` where `hop1` forwards to `hop2`
-//! which returns its argument — is still reported at the one call site
-//! where the tainted value actually enters the flow.
+//! For every function defined in the flow-analyzed crates this module
+//! computes a [`FnSummary`] describing how values move *through* the
+//! function and what it may *write*:
+//!
+//! * the taint lattices — which parameters flow to the return value,
+//!   which reach an event-scheduling sink inside the body (directly or
+//!   via further calls), whether the return value is itself a
+//!   nondeterminism source or a hash-ordered collection, and which time
+//!   unit it carries. A taint laundered through a helper —
+//!   `sched.schedule(hop1(stamp), 0)` where `hop1` forwards to `hop2`
+//!   which returns its argument — is therefore still reported at the
+//!   one call site where the tainted value actually enters the flow;
+//! * the write-effect sets — which parameters (by index and first
+//!   projected field) and which statics the body may write, keeping
+//!   only writes the state model classifies as **sim** state. The
+//!   `observer-purity` rule reports a sim write once, at the outermost
+//!   observation-gated call, instead of echoing it in the helper.
+//!
+//! Both halves come out of the same walk: `dataflow.rs` runs one body
+//! walker in *summarize* mode per function per round.
 //!
 //! Like the rest of simlint's symbol layer, summaries are keyed by
 //! *name*, not by resolved path: the hand-rolled parser has no type
 //! information, so `Wheel::push` and `Vec::push` are the same node.
-//! Names defined with conflicting arities are excluded outright
-//! (callers fall back to the conservative intra-procedural behavior),
-//! and same-arity same-name definitions are merged by union, which
-//! over-approximates but never misses a flow.
+//! Names defined with conflicting arities are excluded outright and
+//! counted ([`Summaries::dropped`]); callers fall back to the
+//! conservative intra-procedural behavior. Same-arity same-name
+//! definitions are merged by union, which over-approximates but never
+//! misses a flow.
 //!
 //! Recursion and mutual calls terminate because summaries are computed
 //! as a fixpoint over the call graph's strongly connected components:
@@ -26,17 +37,18 @@
 //! cannot overflow the stack) emits SCCs callees-first; single
 //! functions are summarized once, and each cycle starts from the empty
 //! summary and iterates until stable. Every summary field only ever
-//! grows (bit-masks union, flags latch), so the fixpoint is reached in
-//! a bounded number of rounds.
+//! grows (bit-masks and sets union, flags latch), so the fixpoint is
+//! reached in a bounded number of rounds.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{walk_block_exprs, ExprKind, File, Func, Item, ItemKind};
-use crate::dataflow::{summarize_fn, TaintKind};
+use crate::ast::{walk_block_exprs, walk_fns, ExprKind, File, Func};
+use crate::dataflow::{summarize_fn, Context, TaintKind};
+use crate::effects::StateModel;
 use crate::symbols::{Symbols, Unit, UnitAnnotations};
 
-/// How values flow through one named function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How values flow through one named function, and what it may write.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnSummary {
     /// Declared parameter count, `self` included.
     pub arity: usize,
@@ -59,36 +71,72 @@ pub struct FnSummary {
     /// suffix-less helper). A unit in the function's own name wins at
     /// call sites; this fills the gap when there is none.
     pub returns_unit: Option<Unit>,
+    /// `(parameter index, first projected field)` pairs the body may
+    /// write, transitively. An empty field name means the parameter's
+    /// own pointee (`*p = v`). Only **sim**-classified writes are
+    /// recorded: observer writes are the whole point of the observer
+    /// layers and carry no risk.
+    pub sim_writes: BTreeSet<(usize, String)>,
+    /// Names of sim statics the body may write, transitively.
+    pub sim_statics: BTreeSet<String>,
 }
 
 impl FnSummary {
-    fn empty(arity: usize, has_self: bool) -> FnSummary {
+    /// The summary of a function that does nothing observable.
+    pub(crate) fn empty(func: &Func) -> FnSummary {
         FnSummary {
-            arity,
-            has_self,
-            param_to_return: 0,
-            param_to_sink: 0,
-            returns_taint: None,
-            returns_hashy: false,
-            returns_unit: None,
+            arity: func.params.len(),
+            has_self: func
+                .params
+                .first()
+                .is_some_and(|p| p.name.as_deref() == Some("self")),
+            ..FnSummary::default()
         }
     }
 
-    /// Union of two same-name definitions (or of an old and a recomputed
-    /// iterate): the merge only grows, which is what makes the SCC
+    /// Union with another same-name definition (or with a recomputed
+    /// iterate): the join only grows, which is what makes the SCC
     /// fixpoint terminate.
-    fn merge(self, other: FnSummary) -> FnSummary {
-        FnSummary {
-            arity: self.arity,
-            has_self: self.has_self || other.has_self,
-            param_to_return: self.param_to_return | other.param_to_return,
-            param_to_sink: self.param_to_sink | other.param_to_sink,
-            returns_taint: self.returns_taint.or(other.returns_taint),
-            returns_hashy: self.returns_hashy || other.returns_hashy,
-            // First-wins keeps the merge monotone; a genuine per-body
-            // disagreement was already resolved to `None` in
-            // `summarize_fn`.
-            returns_unit: self.returns_unit.or(other.returns_unit),
+    fn join(&mut self, other: &FnSummary) {
+        self.has_self |= other.has_self;
+        self.param_to_return |= other.param_to_return;
+        self.param_to_sink |= other.param_to_sink;
+        self.returns_taint = self.returns_taint.or(other.returns_taint);
+        self.returns_hashy |= other.returns_hashy;
+        // First-wins keeps the join monotone; a genuine per-body
+        // disagreement was already resolved to `None` by the walker.
+        self.returns_unit = self.returns_unit.or(other.returns_unit);
+        self.sim_writes.extend(other.sim_writes.iter().cloned());
+        self.sim_statics.extend(other.sim_statics.iter().cloned());
+    }
+
+    /// No sim-state writes at all: safe to call from observation-gated
+    /// code.
+    pub fn is_pure(&self) -> bool {
+        self.sim_writes.is_empty() && self.sim_statics.is_empty()
+    }
+
+    /// Short human rendering of the write-effect set, for the golden
+    /// snapshot test.
+    pub fn describe(&self) -> String {
+        let mut parts: Vec<String> = self
+            .sim_writes
+            .iter()
+            .map(|(i, f)| {
+                if f.is_empty() {
+                    format!("param {i}")
+                } else if *i == 0 && self.has_self {
+                    format!("self.{f}")
+                } else {
+                    format!("param {i}.{f}")
+                }
+            })
+            .collect();
+        parts.extend(self.sim_statics.iter().map(|s| format!("static {s}")));
+        if parts.is_empty() {
+            "pure".to_owned()
+        } else {
+            parts.join(", ")
         }
     }
 }
@@ -101,25 +149,9 @@ pub struct Summaries {
 }
 
 impl Summaries {
-    /// A table with no summaries at all; callers degrade to the
-    /// conservative intra-procedural behavior everywhere.
-    pub fn empty() -> Summaries {
-        Summaries::default()
-    }
-
     /// The summary for `name`, if one exists and is unambiguous.
-    pub fn get(&self, name: &str) -> Option<FnSummary> {
-        self.map.get(name).copied().flatten()
-    }
-
-    /// Number of summarized (non-excluded) names.
-    pub fn len(&self) -> usize {
-        self.map.values().filter(|s| s.is_some()).count()
-    }
-
-    /// `true` if nothing was summarized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn get(&self, name: &str) -> Option<&FnSummary> {
+        self.map.get(name).and_then(Option::as_ref)
     }
 
     /// Number of names excluded for conflicting arities. Exclusion is
@@ -129,111 +161,126 @@ impl Summaries {
     pub fn dropped(&self) -> usize {
         self.map.values().filter(|s| s.is_none()).count()
     }
+
+    /// Stable text rendering of every write-effect summary, one
+    /// `name: effects` line per function — the golden-snapshot surface.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (name, summary) in &self.map {
+            match summary {
+                Some(s) => out.push_str(&format!("{name}: {}\n", s.describe())),
+                None => out.push_str(&format!("{name}: <conflicting arities>\n")),
+            }
+        }
+        out
+    }
+}
+
+/// One function definition as the engine sees it.
+struct Def<'a> {
+    /// The enclosing `impl` type, if any.
+    owner: Option<&'a str>,
+    func: &'a Func,
+    anns: &'a UnitAnnotations,
 }
 
 /// Builds summaries for every function defined in `files` (skipping
 /// `#[cfg(test)]` modules, like the symbol table does).
-pub fn build(files: &[(&File, &UnitAnnotations)], symbols: &Symbols) -> Summaries {
-    // 1. Collect definitions: name → [(func, file's annotations)].
-    let mut defs: BTreeMap<String, Vec<(&Func, &UnitAnnotations)>> = BTreeMap::new();
+pub fn build(
+    files: &[(&File, &UnitAnnotations)],
+    symbols: &Symbols,
+    model: &StateModel,
+) -> Summaries {
+    // 1. Collect definitions: name → [(owner, func, file's annotations)].
+    let mut defs: BTreeMap<&str, Vec<Def<'_>>> = BTreeMap::new();
     for (file, anns) in files {
-        let mut fns = Vec::new();
-        collect_fns(&file.items, &mut fns);
-        for f in fns {
-            defs.entry(f.name.clone()).or_default().push((f, anns));
-        }
+        walk_fns(file, &mut |owner, func| {
+            defs.entry(func.name.as_str())
+                .or_default()
+                .push(Def { owner, func, anns });
+        });
     }
 
     // 2. Exclude names whose definitions disagree on arity: a bitmask
     //    indexed by parameter position is meaningless across them, and
     //    deciding exclusion *before* the fixpoint keeps it monotone.
     let mut summaries = Summaries::default();
-    let names: Vec<&String> = defs
-        .keys()
-        .filter(|name| {
-            let arities: BTreeSet<usize> =
-                defs[*name].iter().map(|(f, _)| f.params.len()).collect();
+    let names: Vec<&str> = defs
+        .iter()
+        .filter(|(name, ds)| {
+            let arities: BTreeSet<usize> = ds.iter().map(|d| d.func.params.len()).collect();
             if arities.len() > 1 {
-                summaries.map.insert((**name).clone(), None);
+                summaries.map.insert((**name).to_owned(), None);
                 false
             } else {
                 true
             }
         })
+        .map(|(name, _)| *name)
         .collect();
-    let index_of: BTreeMap<&str, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+    let index_of: BTreeMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
 
     // 3. Call edges at name granularity: every `name(..)` path call and
     //    `.name(..)` method call inside a body whose name we define.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for (i, name) in names.iter().enumerate() {
-        let mut callees = BTreeSet::new();
-        for (f, _) in &defs[*name] {
-            let Some(body) = &f.body else { continue };
-            walk_block_exprs(body, &mut |e| {
-                let called = match &e.kind {
-                    ExprKind::Call { callee, .. } => match &callee.kind {
-                        ExprKind::Path(segs) => segs.last().map(String::as_str),
+    let adj: Vec<Vec<usize>> = names
+        .iter()
+        .map(|name| {
+            let mut callees = BTreeSet::new();
+            for d in &defs[name] {
+                let Some(body) = &d.func.body else { continue };
+                walk_block_exprs(body, &mut |e| {
+                    let called = match &e.kind {
+                        ExprKind::Call { callee, .. } => match &callee.kind {
+                            ExprKind::Path(segs) => segs.last().map(String::as_str),
+                            _ => None,
+                        },
+                        ExprKind::MethodCall { method, .. } => Some(method.as_str()),
                         _ => None,
-                    },
-                    ExprKind::MethodCall { method, .. } => Some(method.as_str()),
-                    _ => None,
-                };
-                if let Some(c) = called {
-                    if let Some(&j) = index_of.get(c) {
+                    };
+                    if let Some(&j) = called.and_then(|c| index_of.get(c)) {
                         callees.insert(j);
                     }
-                }
-            });
-        }
-        adj[i] = callees.into_iter().collect();
-    }
+                });
+            }
+            callees.into_iter().collect()
+        })
+        .collect();
 
-    // 4. SCC condensation, emitted callees-first by construction.
-    let sccs = tarjan_sccs(&adj);
-
-    // 5. Summarize in reverse topological order; iterate within each
-    //    SCC from the empty summary until stable.
-    for scc in sccs {
+    // 4. Summarize SCCs in reverse topological order; iterate within
+    //    each SCC from the empty summary until stable. Bit-masks, sets
+    //    and flags only grow, so each round either changes a summary or
+    //    is the last; the bound is a safety net, not a budget that real
+    //    code approaches.
+    for scc in tarjan_sccs(&adj) {
         for &ni in &scc {
-            let (f, _) = defs[names[ni]][0];
-            summaries.map.insert(
-                names[ni].clone(),
-                Some(FnSummary::empty(
-                    f.params.len(),
-                    f.params
-                        .first()
-                        .is_some_and(|p| p.name.as_deref() == Some("self")),
-                )),
-            );
+            let first = &defs[names[ni]][0];
+            summaries
+                .map
+                .insert(names[ni].to_owned(), Some(FnSummary::empty(first.func)));
         }
-        // Bit-masks and flags only grow, so each round either changes a
-        // summary or is the last; the bound is a safety net, not a
-        // budget that real code approaches.
         for _round in 0..64 {
             let mut changed = false;
             for &ni in &scc {
                 let name = names[ni];
+                let cx = Context {
+                    symbols,
+                    model,
+                    summaries: &summaries,
+                };
                 let mut computed: Option<FnSummary> = None;
-                for (f, anns) in &defs[name] {
-                    let s = summarize_fn(f, symbols, anns, &summaries);
-                    computed = Some(match computed {
-                        Some(m) => m.merge(s),
-                        None => s,
-                    });
+                for d in &defs[name] {
+                    let s = summarize_fn(d.func, d.owner, d.anns, cx);
+                    match computed.as_mut() {
+                        Some(c) => c.join(&s),
+                        None => computed = Some(s),
+                    }
                 }
-                let old = summaries.get(name);
-                let new = computed.map(|c| match old {
-                    Some(o) => o.merge(c),
-                    None => c,
-                });
-                if new != old {
-                    changed = true;
-                    summaries.map.insert(name.clone(), new);
+                if let (Some(Some(current)), Some(computed)) =
+                    (summaries.map.get_mut(name), computed)
+                {
+                    let before = current.clone();
+                    current.join(&computed);
+                    changed |= *current != before;
                 }
             }
             if !changed {
@@ -244,24 +291,10 @@ pub fn build(files: &[(&File, &UnitAnnotations)], symbols: &Symbols) -> Summarie
     summaries
 }
 
-/// Collects every function definition outside `#[cfg(test)]` modules.
-fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a Func>) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(f) => out.push(f),
-            ItemKind::Impl(imp) => collect_fns(&imp.items, out),
-            ItemKind::Mod(m) if !m.cfg_test => collect_fns(&m.items, out),
-            _ => {}
-        }
-    }
-}
-
 /// Iterative Tarjan: returns SCCs in reverse topological order of the
 /// condensation (every SCC appears after all SCCs it calls into have
 /// been emitted), which is exactly the summarization order we need.
-/// Shared with the write-effect engine (`effects.rs`), which runs the
-/// same bottom-up fixpoint over its own per-function summaries.
-pub(crate) fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = adj.len();
     let mut index: Vec<Option<u32>> = vec![None; n];
     let mut low: Vec<u32> = vec![0; n];
@@ -319,9 +352,10 @@ pub(crate) fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effects::StateModel;
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::symbols::parse_unit_annotations;
+    use crate::symbols::{parse_state_annotations, parse_unit_annotations};
 
     fn summarize(src: &str) -> Summaries {
         let toks = lex(src);
@@ -329,8 +363,11 @@ mod tests {
         assert_eq!(file.recovered_skips, 0, "test source must parse");
         let (anns, bad) = parse_unit_annotations(&toks);
         assert!(bad.is_empty(), "{bad:?}");
+        let (state_anns, bad) = parse_state_annotations(&toks);
+        assert!(bad.is_empty(), "{bad:?}");
         let symbols = Symbols::build(&[(&file, &anns)]);
-        build(&[(&file, &anns)], &symbols)
+        let model = StateModel::build(&[(&file, &state_anns)]);
+        build(&[(&file, &anns)], &symbols, &model)
     }
 
     #[test]
@@ -399,7 +436,10 @@ mod tests {
              pub fn suffixed_ms() -> u64 { 50 }\n\
              pub fn unitless(v: u64) -> u64 { v }",
         );
-        assert_eq!(s.get("current_window").unwrap().returns_unit, Some(Unit::Ms));
+        assert_eq!(
+            s.get("current_window").unwrap().returns_unit,
+            Some(Unit::Ms)
+        );
         assert_eq!(s.get("unitless").unwrap().returns_unit, None);
     }
 

@@ -1,77 +1,102 @@
-//! Dataflow: nondeterminism taint, time units, and shard safety.
+//! The function-body walker: nondeterminism taint, time units, shard
+//! safety, and write effects in one forward pass.
 //!
-//! A single forward walk over each function body maintains a scope
-//! stack of per-binding [`Facts`]:
+//! One walk over each function body maintains a scope stack in which
+//! every binding carries two abstract values:
 //!
-//! * **taint** — the value (transitively) originates from a
-//!   nondeterministic source: hash-collection iteration, `Instant`/
-//!   `SystemTime` wall-clock reads, or ambient RNG. Taint propagates
-//!   through lets, operators, calls, struct fields and loop bindings,
-//!   and is reported when it reaches an event-scheduling sink
-//!   (`schedule`/`push`) or a `SimTime`/`SimDuration` construction.
-//! * **unit** — the declared time unit (µs/ms/s) carried by the value,
-//!   inferred from the naming convention (`_us`/`_ms`/`_secs` suffixes,
-//!   `micros`/`millis`/`secs` parameter names) or an explicit
-//!   `// simlint::unit(us)` annotation, and from unit-typed accessors
-//!   (`.as_micros()` yields µs). Mismatches are reported where units
-//!   meet: constructor arguments, unit-suffixed parameters and fields,
-//!   additive arithmetic and comparisons. Multiplication and division
-//!   legitimately change units, so they erase the fact instead.
-//! * **shard safety** — values that cross a thread boundary. A tainted
-//!   or hash-ordered binding captured by a closure passed to
-//!   `thread::scope`/`spawn`/`par_runs`, or sent through a channel, is
-//!   a `shard-cross-thread` finding; a value received from a channel
-//!   carries a *completion-order* fact, and aggregating it by arrival
-//!   (`.push`/`.extend`) instead of by index is a `shard-order-agg`
-//!   finding.
+//! * its dataflow [`Facts`]:
+//!   * **taint** — the value (transitively) originates from a
+//!     nondeterministic source: hash-collection iteration, `Instant`/
+//!     `SystemTime` wall-clock reads, or ambient RNG. Taint propagates
+//!     through lets, operators, calls, struct fields and loop bindings,
+//!     and is reported when it reaches an event-scheduling sink
+//!     (`schedule`/`push`) or a `SimTime`/`SimDuration` construction.
+//!   * **unit** — the declared time unit (µs/ms/s) carried by the value,
+//!     inferred from the naming convention (`_us`/`_ms`/`_secs`
+//!     suffixes, `micros`/`millis`/`secs` parameter names) or an
+//!     explicit `// simlint::unit(us)` annotation, and from unit-typed
+//!     accessors (`.as_micros()` yields µs). Mismatches are reported
+//!     where units meet: constructor arguments, unit-suffixed
+//!     parameters and fields, additive arithmetic and comparisons.
+//!     Multiplication and division legitimately change units, so they
+//!     erase the fact instead.
+//!   * **shard safety** — values that cross a thread boundary. A
+//!     tainted or hash-ordered binding captured by a closure passed to
+//!     `thread::scope`/`spawn`/`par_runs`, or sent through a channel,
+//!     is a `shard-cross-thread` finding; a value received from a
+//!     channel carries a *completion-order* fact, and aggregating it by
+//!     arrival (`.push`/`.extend`) instead of by index is a
+//!     `shard-order-agg` finding.
+//! * its write [`Origin`] — the parameter (and first projected field)
+//!   or static it aliases, so a write through it can be classified as
+//!   sim or observer state by the [`StateModel`]. Three rules consume
+//!   the write half:
+//!   * `observer-purity` — code that only runs when observation is on
+//!     (under a `cfg.trace` / `cfg.metrics` / `cfg.prof` guard, an
+//!     `if let Some(m) = self.metrics.as_mut()` unwrap, or anywhere in
+//!     an `impl` of an observer type) must not write sim state. The
+//!     report lands once, at the outermost gated call, like two-hop
+//!     taint: the helper that actually performs the write is
+//!     summarized, not echoed.
+//!   * `frozen-config` — a `SystemConfig` is mutable while it is being
+//!     built and frozen the moment `validate()` returns; field writes
+//!     after the freeze (or through a stored `cfg` field, which is
+//!     always post-validate) are findings. `impl SystemConfig` itself
+//!     (the builder methods) is exempt.
+//!   * field-precise upgrades for the shard-safety family: a *write* to
+//!     a `static` in sim code is reported at the write site
+//!     (`shard-shared-state`), and a closure handed to
+//!     `spawn`/`scope`/`par_runs` that writes a captured binding is a
+//!     cross-thread mutation (`shard-cross-thread`) even when no taint
+//!     is involved.
 //!
-//! The analysis is interprocedural: call sites consult the per-function
-//! [`FnSummary`] table built by `callgraph.rs`, so a taint laundered
-//! through helper calls still reaches its sink, and a helper whose body
-//! schedules its argument turns every call site into a sink. The same
-//! walker runs in a second, *summarize* mode (no findings, `collect`
-//! set) to produce those summaries: parameters are seeded with one bit
-//! each, and the bits surviving to `return` / sink positions become the
-//! summary masks.
+//! One stack of capture boundaries (the thread-crossing closures) serves
+//! both halves. The walker runs in two modes. In *summarize* mode
+//! (`callgraph.rs` calls it once per function per fixpoint round)
+//! parameters are seeded with one bit each, and the bits surviving to
+//! `return` / sink positions, plus the sim writes, become the
+//! function's [`FnSummary`]. In *check* mode it reports findings and
+//! consults the finished summaries at call sites, so a taint laundered
+//! through helper calls still reaches its sink, a helper whose body
+//! schedules its argument turns every call site into a sink, and a
+//! helper that writes sim state is reported where observation-gated
+//! code calls it.
 //!
 //! The analysis stays deliberately conservative in the other direction:
 //! one pass per body, branch facts don't merge back, and unknown calls
 //! propagate argument taint but never invent it. Under the workspace's
-//! other lint rules the sources are individually banned, so this layer
-//! is defense-in-depth: it catches flows from *suppressed* sources and
-//! from future code the lexer rules can't see.
+//! other lint rules the sources are individually banned, so the taint
+//! half is defense-in-depth: it catches flows from *suppressed* sources
+//! and from future code the lexer rules can't see. The write half is
+//! heuristic too: `let alias = &mut self.field` is tracked, a `&mut`
+//! smuggled through an untracked accessor return is not, and by-value
+//! rebinding (`x = 3` on a plain binding) is never an effect because it
+//! cannot escape the function.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Block, Expr, ExprKind, Func, Lit, StmtKind};
+use crate::ast::{walk_expr, Block, Expr, ExprKind, Func, Lit, StmtKind, TypeRef};
 use crate::callgraph::{FnSummary, Summaries};
+use crate::effects::{StateClass, StateModel};
+use crate::report::Finding;
 use crate::symbols::{declared_unit, unit_from_name, Symbols, Unit, UnitAnnotations, HASH_TYPES};
-
-/// Which rule family a flow finding belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowRule {
-    /// `nondet-taint`.
-    Taint,
-    /// `time-unit`.
-    Unit,
-    /// `shard-cross-thread`.
-    CrossThread,
-    /// `shard-order-agg`.
-    OrderAgg,
-}
 
 /// Which finding families a given file gets reports for. Tracking
 /// always runs in full; only *reporting* is gated, so e.g. taint facts
 /// still feed the cross-thread rule in files where plain `nondet-taint`
 /// is off.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlowFamilies {
     /// Report `nondet-taint`.
     pub taint: bool,
     /// Report `time-unit`.
     pub unit: bool,
-    /// Report `shard-cross-thread` / `shard-order-agg`.
+    /// Report `shard-cross-thread` / `shard-order-agg`, including
+    /// captured-binding writes.
     pub shard: bool,
+    /// Report the write rules that bind sim-crate code:
+    /// `observer-purity`, `frozen-config` and static writes.
+    pub sim: bool,
 }
 
 impl FlowFamilies {
@@ -81,6 +106,7 @@ impl FlowFamilies {
             taint: true,
             unit: true,
             shard: true,
+            sim: true,
         }
     }
 
@@ -92,38 +118,17 @@ impl FlowFamilies {
             taint: false,
             unit: false,
             shard: true,
+            sim: false,
         }
     }
 
-    fn none() -> FlowFamilies {
-        FlowFamilies {
-            taint: false,
-            unit: false,
-            shard: false,
-        }
-    }
-
-    fn enables(self, rule: FlowRule) -> bool {
+    fn enables(self, rule: &str) -> bool {
         match rule {
-            FlowRule::Taint => self.taint,
-            FlowRule::Unit => self.unit,
-            FlowRule::CrossThread | FlowRule::OrderAgg => self.shard,
+            "nondet-taint" => self.taint,
+            "time-unit" => self.unit,
+            _ => self.shard,
         }
     }
-}
-
-/// One raw dataflow finding (rule name resolution happens in
-/// `rules.rs`).
-#[derive(Debug)]
-pub struct FlowFinding {
-    /// Rule family.
-    pub rule: FlowRule,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Message.
-    pub message: String,
 }
 
 /// What kind of nondeterminism a taint originates from.
@@ -162,8 +167,8 @@ struct Facts {
     /// The value is (or contains) a hash-ordered collection.
     hashy: bool,
     /// Bitmask of enclosing-function parameters this value depends on
-    /// (summarize mode seeds param *i* with bit *i*; report mode keeps
-    /// the bits flowing so summaries compose, but never reports them).
+    /// (param *i* is seeded with bit *i*; check mode keeps the bits
+    /// flowing so summaries compose, but never reports them).
     params: u32,
     /// The value was received from a channel, so its identity depends
     /// on cross-thread completion order.
@@ -199,6 +204,52 @@ impl Facts {
             channel: self.channel || other.channel,
         }
     }
+}
+
+/// Where a tracked value points: the root the write half can name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Origin {
+    /// A plain local; writes cannot escape the function.
+    Local,
+    /// Derived from parameter `idx`, optionally through one projected
+    /// field (`self.tracer.log` keeps the *first* projection,
+    /// `tracer` — the classification anchor).
+    Param { idx: usize, field: Option<String> },
+    /// A module-level `static`.
+    Static(String),
+}
+
+/// One scope entry. Most bindings (lets, parameters, patterns, closure
+/// parameters) set both halves. Two taint-only cases shadow without
+/// aliasing: an assignment that re-tracks `x` or `self.field`, and an
+/// `if let` binding, which the taint half keeps in the enclosing scope.
+/// The write half binds `if let` / `while let` names in the guarded
+/// body's scope only. Each lookup skips entries without its half.
+#[derive(Debug, Clone, Default)]
+struct Binding {
+    facts: Option<Facts>,
+    origin: Option<Origin>,
+}
+
+/// `origin_of`'s result: the origin plus the root binding (name and
+/// scope depth) when the lvalue is rooted at a named binding — the
+/// capture-write check needs the depth even for plain locals.
+#[derive(Debug)]
+struct Resolved {
+    origin: Option<Origin>,
+    root: Option<(String, usize)>,
+}
+
+/// The workspace-wide tables every walk reads.
+#[derive(Debug, Clone, Copy)]
+pub struct Context<'a> {
+    /// Cross-file symbol facts.
+    pub symbols: &'a Symbols,
+    /// Sim-vs-observer state classification.
+    pub model: &'a StateModel,
+    /// Function summaries (complete in check mode, the current fixpoint
+    /// iterate in summarize mode).
+    pub summaries: &'a Summaries,
 }
 
 /// Methods whose result order depends on hash state when the receiver
@@ -238,7 +289,7 @@ const UNIT_PRESERVING: [&str; 12] = [
 const SINK_METHODS: [&str; 4] = ["schedule", "schedule_at", "push", "push_at"];
 
 /// Functions/methods whose closure argument runs on another thread.
-pub const CROSS_THREAD_FNS: [&str; 3] = ["spawn", "scope", "par_runs"];
+const CROSS_THREAD_FNS: [&str; 3] = ["spawn", "scope", "par_runs"];
 
 /// Channel receives: the value's identity depends on completion order.
 const RECV_METHODS: [&str; 3] = ["recv", "try_recv", "recv_timeout"];
@@ -247,188 +298,294 @@ const RECV_METHODS: [&str; 3] = ["recv", "try_recv", "recv_timeout"];
 /// completion-ordered value makes the aggregate order-sensitive.
 const AGG_METHODS: [&str; 5] = ["push", "extend", "insert", "push_back", "append"];
 
-/// Analyzes one function body, appending flow findings to `out`.
-pub fn analyze_fn(
-    func: &Func,
-    symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &Summaries,
-    families: FlowFamilies,
-    out: &mut Vec<FlowFinding>,
-) {
-    let Some(body) = &func.body else {
-        return;
-    };
-    let mut a = Analysis {
-        symbols,
-        anns,
-        summaries,
-        scopes: vec![BTreeMap::new()],
-        out,
-        families,
-        collect: None,
-        boundaries: Vec::new(),
-        next_boundary: 0,
-        reported_captures: BTreeSet::new(),
-    };
-    a.bind_params(func);
-    a.run_block(body);
-}
+/// Config fields whose truthiness gates observation code paths.
+const GATE_FLAGS: [&str; 3] = ["trace", "metrics", "prof"];
 
-/// Computes one function's [`FnSummary`] by running the same walker in
-/// summarize mode: no findings, parameters seeded with one bit each,
-/// return/sink positions recorded.
+/// Methods that project a reference out of their receiver without
+/// changing what it points into: the origin of `x.as_mut()` is the
+/// origin of `x`.
+const PROJECTION_METHODS: [&str; 8] = [
+    "as_mut",
+    "as_ref",
+    "as_deref_mut",
+    "borrow_mut",
+    "get_mut",
+    "unwrap",
+    "expect",
+    "last_mut",
+];
+
+/// Methods assumed to mutate their receiver when the callee has no
+/// workspace summary (std collections, atomics, the event-queue API).
+const MUTATING_METHODS: [&str; 26] = [
+    "push",
+    "push_back",
+    "push_front",
+    "push_at",
+    "pop",
+    "pop_back",
+    "pop_front",
+    "insert",
+    "remove",
+    "clear",
+    "set",
+    "store",
+    "fetch_add",
+    "fetch_sub",
+    "extend",
+    "append",
+    "drain",
+    "truncate",
+    "retain",
+    "resize",
+    "fill",
+    "swap",
+    "replace",
+    "sort",
+    "schedule",
+    "schedule_at",
+];
+
+/// Computes one function's [`FnSummary`]: the walker in summarize mode
+/// (no findings, parameters seeded with one bit each, return/sink
+/// positions and sim writes recorded).
 pub fn summarize_fn(
     func: &Func,
-    symbols: &Symbols,
+    owner: Option<&str>,
     anns: &UnitAnnotations,
-    summaries: &Summaries,
+    cx: Context<'_>,
 ) -> FnSummary {
-    let mut sink = Vec::new();
-    let mut a = Analysis {
-        symbols,
-        anns,
-        summaries,
-        scopes: vec![BTreeMap::new()],
-        out: &mut sink,
-        families: FlowFamilies::none(),
-        collect: Some(SummaryCollect::default()),
-        boundaries: Vec::new(),
-        next_boundary: 0,
-        reported_captures: BTreeSet::new(),
-    };
-    a.bind_params(func);
+    let mut w = Walker::new(func, owner, anns, cx, None);
     if let Some(body) = &func.body {
-        let trailing = a.run_block(body);
-        a.record_return(trailing);
+        let trailing = w.run_block(body);
+        w.record_return(trailing);
     }
-    let c = a.collect.take().unwrap_or_default();
-    FnSummary {
-        arity: func.params.len(),
-        has_self: func
-            .params
-            .first()
-            .is_some_and(|p| p.name.as_deref() == Some("self")),
-        param_to_return: c.param_to_return,
-        param_to_sink: c.param_to_sink,
-        returns_taint: c.returns_taint,
-        returns_hashy: c.returns_hashy,
-        returns_unit: c.returns_unit,
-    }
+    w.summary
 }
 
-/// Accumulator for summarize mode.
-#[derive(Debug, Default)]
-struct SummaryCollect {
-    param_to_return: u32,
-    param_to_sink: u32,
-    returns_taint: Option<TaintKind>,
-    returns_hashy: bool,
-    /// Declared unit of returned values; poisoned (stays `None` via
-    /// `returns_unit_conflict`) when two return paths disagree.
-    returns_unit: Option<Unit>,
-    returns_unit_conflict: bool,
-}
-
-struct Analysis<'a> {
-    symbols: &'a Symbols,
-    anns: &'a UnitAnnotations,
-    summaries: &'a Summaries,
-    scopes: Vec<BTreeMap<String, Facts>>,
-    out: &'a mut Vec<FlowFinding>,
+/// Checks one function body under `families`, returning its findings in
+/// two groups, each in walk order: the dataflow findings (`nondet-taint`,
+/// `time-unit`, value crossings, `shard-order-agg`) and the write
+/// findings (`observer-purity`, `frozen-config`, static and captured
+/// writes).
+pub fn check_fn(
+    func: &Func,
+    owner: Option<&str>,
+    anns: &UnitAnnotations,
+    cx: Context<'_>,
     families: FlowFamilies,
-    /// `Some` in summarize mode.
-    collect: Option<SummaryCollect>,
+    path: &str,
+) -> (Vec<Finding>, Vec<Finding>) {
+    let Some(body) = &func.body else {
+        return (Vec::new(), Vec::new());
+    };
+    let check = Check {
+        families,
+        path,
+        ..Check::default()
+    };
+    let mut w = Walker::new(func, owner, anns, cx, Some(check));
+    w.run_block(body);
+    let c = w.check.expect("check mode keeps its state");
+    (c.flow, c.writes)
+}
+
+/// Check-mode state.
+#[derive(Default)]
+struct Check<'a> {
+    families: FlowFamilies,
+    path: &'a str,
+    /// Observation-gate nesting depth; > 0 means this code only runs
+    /// when tracing/metrics/profiling is enabled.
+    gate_depth: u32,
+    /// `SystemConfig` bindings in this body → frozen (validate seen)?
+    cfg_bindings: BTreeMap<String, bool>,
+    /// (boundary id, name) pairs already reported, so one captured
+    /// binding used five times yields one finding.
+    reported_captures: BTreeSet<(usize, String)>,
+    /// `(line, col, rule)` write findings already reported (dedup).
+    reported: BTreeSet<(u32, u32, &'static str)>,
+    flow: Vec<Finding>,
+    writes: Vec<Finding>,
+}
+
+struct Walker<'a> {
+    cx: Context<'a>,
+    anns: &'a UnitAnnotations,
+    owner: Option<&'a str>,
+    /// Per-parameter: its declared type mentions an observer type (or
+    /// it is `self` of an observer impl), so writes through it are
+    /// observer-class regardless of field.
+    param_observer: Vec<bool>,
+    scopes: Vec<BTreeMap<String, Binding>>,
     /// Active thread-crossing closures: (scope depth at entry, id).
     /// A binding resolved from a scope *below* the entry depth was
     /// captured across the thread boundary.
     boundaries: Vec<(usize, usize)>,
     next_boundary: usize,
-    /// (boundary id, name) pairs already reported, so one captured
-    /// binding used five times yields one finding.
-    reported_captures: BTreeSet<(usize, String)>,
+    /// Nesting depth of sub-expressions that are not values for the
+    /// write half (the base of an assignment target, a computed callee):
+    /// while it is non-zero only the dataflow half runs.
+    value_only: u32,
+    /// The summary being accumulated (returned in summarize mode).
+    summary: FnSummary,
+    /// Two return paths disagreed on the unit, so `returns_unit` stays
+    /// `None`.
+    returns_unit_conflict: bool,
+    /// `Some` in check mode.
+    check: Option<Check<'a>>,
 }
 
-impl Analysis<'_> {
-    fn bind_params(&mut self, func: &Func) {
+impl<'a> Walker<'a> {
+    fn new(
+        func: &Func,
+        owner: Option<&'a str>,
+        anns: &'a UnitAnnotations,
+        cx: Context<'a>,
+        mut check: Option<Check<'a>>,
+    ) -> Walker<'a> {
+        let owner_observer = owner.is_some_and(|o| cx.model.is_observer_type(o));
+        if let Some(c) = check.as_mut() {
+            if c.families.sim && owner_observer {
+                // Everything inside an observer impl only runs in
+                // service of observation: the whole body is gated.
+                c.gate_depth = 1;
+            }
+        }
+        let mut w = Walker {
+            cx,
+            anns,
+            owner,
+            param_observer: Vec::with_capacity(func.params.len()),
+            scopes: vec![BTreeMap::new()],
+            boundaries: Vec::new(),
+            next_boundary: 0,
+            value_only: 0,
+            summary: FnSummary::empty(func),
+            returns_unit_conflict: false,
+            check,
+        };
         for (i, p) in func.params.iter().enumerate() {
+            let is_self = p.name.as_deref() == Some("self");
+            w.param_observer.push(
+                (is_self && owner_observer)
+                    || p.ty
+                        .as_ref()
+                        .is_some_and(|t| t.idents.iter().any(|id| cx.model.is_observer_type(id))),
+            );
             let Some(name) = &p.name else { continue };
             let facts = Facts {
-                unit: declared_unit(name, p.line, self.anns),
+                unit: declared_unit(name, p.line, anns),
                 hashy: p.ty.as_ref().is_some_and(|t| t.mentions(&HASH_TYPES)),
                 params: 1u32 << i.min(31),
                 ..Facts::default()
             };
-            self.bind(name.clone(), facts);
+            w.bind(
+                name.clone(),
+                facts,
+                Origin::Param {
+                    idx: i,
+                    field: None,
+                },
+            );
         }
+        w
     }
 
-    fn bind(&mut self, name: String, facts: Facts) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name, facts);
-        }
+    // ── scopes ───────────────────────────────────────────────────────
+
+    fn top(&mut self, name: String) -> &mut Binding {
+        self.scopes
+            .last_mut()
+            .expect("the parameter scope is never popped")
+            .entry(name)
+            .or_default()
     }
 
-    fn lookup(&self, name: &str) -> Option<Facts> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
+    /// Binds both halves, replacing any binding of `name` in the
+    /// innermost scope.
+    fn bind(&mut self, name: String, facts: Facts, origin: Origin) {
+        *self.top(name) = Binding {
+            facts: Some(facts),
+            origin: Some(origin),
+        };
     }
 
-    /// Like [`lookup`](Self::lookup), also reporting which scope depth
-    /// the binding lives at (for capture detection).
-    fn lookup_depth(&self, name: &str) -> Option<(usize, Facts)> {
+    fn bind_facts(&mut self, name: String, facts: Facts) {
+        self.top(name).facts = Some(facts);
+    }
+
+    fn bind_origin(&mut self, name: String, origin: Origin) {
+        self.top(name).origin = Some(origin);
+    }
+
+    /// The innermost facts for `name` and the scope depth they live at
+    /// (for capture detection).
+    fn lookup(&self, name: &str) -> Option<(usize, Facts)> {
         self.scopes
             .iter()
             .enumerate()
             .rev()
-            .find_map(|(d, s)| s.get(name).map(|f| (d, *f)))
+            .find_map(|(d, s)| s.get(name).and_then(|b| b.facts).map(|f| (d, f)))
     }
 
-    fn report(&mut self, rule: FlowRule, line: u32, col: u32, message: String) {
-        if !self.families.enables(rule) {
-            return;
+    /// The innermost origin for `name` and its scope depth.
+    fn resolve(&self, name: &str) -> Option<(usize, Origin)> {
+        self.scopes
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(d, s)| s.get(name).and_then(|b| b.origin.clone()).map(|o| (d, o)))
+    }
+
+    // ── reporting ────────────────────────────────────────────────────
+
+    /// A dataflow finding, gated by the file's families.
+    fn report(&mut self, rule: &'static str, line: u32, col: u32, message: String) {
+        if let Some(c) = self.check.as_mut().filter(|c| c.families.enables(rule)) {
+            c.flow.push(Finding::new(rule, c.path, line, col, message));
         }
-        self.out.push(FlowFinding {
-            rule,
-            line,
-            col,
-            message,
-        });
+    }
+
+    /// A write finding, deduplicated by position and rule.
+    fn report_write(&mut self, rule: &'static str, line: u32, col: u32, message: String) {
+        if let Some(c) = self.check.as_mut() {
+            if c.reported.insert((line, col, rule)) {
+                c.writes
+                    .push(Finding::new(rule, c.path, line, col, message));
+            }
+        }
     }
 
     fn record_return(&mut self, f: Facts) {
-        if let Some(c) = self.collect.as_mut() {
-            c.param_to_return |= f.params;
-            if c.returns_taint.is_none() {
-                c.returns_taint = f.taint.map(|t| t.kind);
-            }
-            c.returns_hashy |= f.hashy;
-            // A unit-carrying return path sets the unit once; a second
-            // path with a *different* unit poisons the inference (the
-            // helper has no single unit to report).
-            if let Some(u) = f.unit {
-                match c.returns_unit {
-                    None if !c.returns_unit_conflict => c.returns_unit = Some(u),
-                    Some(prev) if prev != u => {
-                        c.returns_unit = None;
-                        c.returns_unit_conflict = true;
-                    }
-                    _ => {}
+        let s = &mut self.summary;
+        s.param_to_return |= f.params;
+        if s.returns_taint.is_none() {
+            s.returns_taint = f.taint.map(|t| t.kind);
+        }
+        s.returns_hashy |= f.hashy;
+        // A unit-carrying return path sets the unit once; a second path
+        // with a *different* unit poisons the inference (the helper has
+        // no single unit to report).
+        if let Some(u) = f.unit {
+            match s.returns_unit {
+                None if !self.returns_unit_conflict => s.returns_unit = Some(u),
+                Some(prev) if prev != u => {
+                    s.returns_unit = None;
+                    self.returns_unit_conflict = true;
                 }
+                _ => {}
             }
         }
     }
 
-    /// A value arrived at a scheduling sink: report its taint and, in
-    /// summarize mode, record which parameters reach the sink.
+    /// A value arrived at a scheduling sink: report its taint and
+    /// record which parameters reach the sink.
     fn sink_arg(&mut self, arg: &Expr, f: Facts, sink: &str) {
         if let Some(t) = f.taint {
             self.taint_into_sink(arg, t, sink);
         }
-        if f.params != 0 {
-            if let Some(c) = self.collect.as_mut() {
-                c.param_to_sink |= f.params;
-            }
-        }
+        self.summary.param_to_sink |= f.params;
     }
 
     fn unit_mismatch(&mut self, e: &Expr, got: Unit, want: Unit, context: &str) {
@@ -436,7 +593,7 @@ impl Analysis<'_> {
             return;
         }
         self.report(
-            FlowRule::Unit,
+            "time-unit",
             e.span.line,
             e.span.col,
             format!(
@@ -451,7 +608,7 @@ impl Analysis<'_> {
 
     fn taint_into_sink(&mut self, e: &Expr, taint: Taint, sink: &str) {
         self.report(
-            FlowRule::Taint,
+            "nondet-taint",
             e.span.line,
             e.span.col,
             format!(
@@ -472,7 +629,7 @@ impl Analysis<'_> {
             None => return,
         };
         self.report(
-            FlowRule::CrossThread,
+            "shard-cross-thread",
             e.span.line,
             e.span.col,
             format!(
@@ -481,6 +638,8 @@ impl Analysis<'_> {
             ),
         );
     }
+
+    // ── the walk ─────────────────────────────────────────────────────
 
     /// Runs a block in a fresh scope; returns the trailing expression's
     /// facts.
@@ -492,6 +651,7 @@ impl Analysis<'_> {
             match &stmt.kind {
                 StmtKind::Let { names, ty, init } => {
                     let init_facts = init.as_ref().map(|e| self.eval(e)).unwrap_or_default();
+                    let origin = self.let_origin(init.as_ref());
                     let ty_hashy = ty.as_ref().is_some_and(|t| t.mentions(&HASH_TYPES));
                     if names.len() == 1 {
                         let name = &names[0];
@@ -501,23 +661,20 @@ impl Analysis<'_> {
                         {
                             self.unit_mismatch(e, got, want, &format!("`{name}`"));
                         }
-                        self.bind(
-                            name.clone(),
-                            Facts {
-                                unit: declared.or(init_facts.unit),
-                                hashy: init_facts.hashy || ty_hashy,
-                                ..init_facts
-                            },
-                        );
+                        self.track_config_binding(name, ty.as_ref(), init.as_ref());
+                        let facts = Facts {
+                            unit: declared.or(init_facts.unit),
+                            hashy: init_facts.hashy || ty_hashy,
+                            ..init_facts
+                        };
+                        self.bind(name.clone(), facts, origin);
                     } else {
                         for name in names {
-                            self.bind(
-                                name.clone(),
-                                Facts {
-                                    unit: unit_from_name(name),
-                                    ..init_facts
-                                },
-                            );
+                            let facts = Facts {
+                                unit: unit_from_name(name),
+                                ..init_facts
+                            };
+                            self.bind(name.clone(), facts, Origin::Local);
                         }
                     }
                 }
@@ -527,6 +684,24 @@ impl Analysis<'_> {
         }
         self.scopes.pop();
         last
+    }
+
+    /// What a `let` initializer aliases. Only reference-like
+    /// initializers alias their source: `&mut x`, a rebound reference, a
+    /// projecting method. A bare field/method read is a copy or a move —
+    /// writes to it stay local.
+    fn let_origin(&self, init: Option<&Expr>) -> Origin {
+        match init.map(|e| &e.kind) {
+            Some(ExprKind::Unary { expr }) => self.origin_of(expr).origin,
+            Some(ExprKind::Path(segs)) if segs.len() == 1 => self.resolve(&segs[0]).map(|(_, o)| o),
+            Some(ExprKind::MethodCall { recv, method, .. })
+                if PROJECTION_METHODS.contains(&method.as_str()) =>
+            {
+                self.origin_of(recv).origin
+            }
+            _ => None,
+        }
+        .unwrap_or(Origin::Local)
     }
 
     fn eval(&mut self, e: &Expr) -> Facts {
@@ -539,13 +714,13 @@ impl Analysis<'_> {
                 let r = self.eval(recv);
                 // A tracked `self.field` assignment earlier in the body
                 // wins over the static field facts.
-                if let Some(tracked) = lvalue_key(e).and_then(|k| self.lookup(&k)) {
+                if let Some((_, tracked)) = lvalue_key(e).and_then(|k| self.lookup(&k)) {
                     return tracked;
                 }
                 Facts {
                     taint: r.taint,
                     unit: unit_from_name(name),
-                    hashy: self.symbols.hash_fields.contains(name),
+                    hashy: self.cx.symbols.hash_fields.contains(name),
                     params: r.params,
                     completion: r.completion,
                     channel: false,
@@ -577,7 +752,7 @@ impl Analysis<'_> {
                                 "comparison"
                             };
                             self.report(
-                                FlowRule::Unit,
+                                "time-unit",
                                 e.span.line,
                                 e.span.col,
                                 format!(
@@ -604,30 +779,7 @@ impl Analysis<'_> {
                 }
             }
             ExprKind::Assign { lhs, rhs, .. } => {
-                let r = self.eval(rhs);
-                // Unit check against the target's declared name.
-                let target_name = match &lhs.kind {
-                    ExprKind::Path(segs) if segs.len() == 1 => Some(segs[0].clone()),
-                    ExprKind::Field { name, .. } => Some(name.clone()),
-                    _ => None,
-                };
-                if let (Some(name), Some(got)) = (&target_name, r.unit) {
-                    if let Some(want) = unit_from_name(name) {
-                        self.unit_mismatch(rhs, got, want, &format!("`{name}`"));
-                    }
-                }
-                if let Some(key) = lvalue_key(lhs) {
-                    let declared = target_name.as_deref().and_then(unit_from_name);
-                    self.bind(
-                        key,
-                        Facts {
-                            unit: declared.or(r.unit),
-                            ..r
-                        },
-                    );
-                } else {
-                    self.eval(lhs);
-                }
+                self.eval_assign(lhs, rhs);
                 Facts::default()
             }
             ExprKind::StructLit { fields, .. } => {
@@ -644,7 +796,7 @@ impl Analysis<'_> {
                             f
                         }
                         // Shorthand `Foo { window_us }`.
-                        None => self.lookup(name).unwrap_or_default(),
+                        None => self.lookup(name).map(|(_, f)| f).unwrap_or_default(),
                     };
                     taint = taint.or(f.taint);
                     params |= f.params;
@@ -680,20 +832,32 @@ impl Analysis<'_> {
             ExprKind::Block(b) => self.run_block(b),
             ExprKind::If { cond, then, els } => {
                 self.eval(cond);
+                let gate = self.check.as_ref().is_some_and(|c| c.families.sim)
+                    && is_gated_cond(cond, self.cx.model);
+                let bound = self.cond_bindings(cond);
+                if gate {
+                    self.shift_gate(1);
+                }
+                self.scopes.push(BTreeMap::new());
+                for (name, origin) in bound {
+                    self.bind_origin(name, origin);
+                }
                 let t = self.run_block(then);
+                self.scopes.pop();
+                if gate {
+                    self.shift_gate(-1);
+                }
                 let f = els.as_ref().map(|e| self.eval(e)).unwrap_or_default();
                 t.join(f)
             }
             ExprKind::LetCond { names, expr } => {
                 let f = self.eval(expr);
                 for n in names {
-                    self.bind(
-                        n.clone(),
-                        Facts {
-                            unit: unit_from_name(n).or(f.unit),
-                            ..f
-                        },
-                    );
+                    let facts = Facts {
+                        unit: unit_from_name(n).or(f.unit),
+                        ..f
+                    };
+                    self.bind_facts(n.clone(), facts);
                 }
                 f
             }
@@ -704,7 +868,7 @@ impl Analysis<'_> {
                     self.scopes.push(BTreeMap::new());
                     for n in arm.pat.bound_names() {
                         let unit = unit_from_name(&n).or(s.unit);
-                        self.bind(n, Facts { unit, ..s });
+                        self.bind(n, Facts { unit, ..s }, Origin::Local);
                     }
                     if let Some(g) = &arm.guard {
                         self.eval(g);
@@ -716,6 +880,8 @@ impl Analysis<'_> {
                 merged
             }
             ExprKind::ForLoop { names, iter, body } => {
+                // `for ev in self.queue.drain(..)` mutates the source;
+                // the method-call arm records it.
                 let it = self.eval(iter);
                 self.scopes.push(BTreeMap::new());
                 let taint = it.taint.or_else(|| {
@@ -728,16 +894,14 @@ impl Analysis<'_> {
                 // completion order.
                 let completion = it.completion || it.channel;
                 for n in names {
-                    self.bind(
-                        n.clone(),
-                        Facts {
-                            taint,
-                            unit: unit_from_name(n),
-                            params: it.params,
-                            completion,
-                            ..Facts::default()
-                        },
-                    );
+                    let facts = Facts {
+                        taint,
+                        unit: unit_from_name(n),
+                        params: it.params,
+                        completion,
+                        ..Facts::default()
+                    };
+                    self.bind(n.clone(), facts, Origin::Local);
                 }
                 self.run_block(body);
                 self.scopes.pop();
@@ -746,6 +910,9 @@ impl Analysis<'_> {
             ExprKind::While { cond, body } => {
                 self.scopes.push(BTreeMap::new());
                 self.eval(cond);
+                for (name, origin) in self.cond_bindings(cond) {
+                    self.bind_origin(name, origin);
+                }
                 self.run_block(body);
                 self.scopes.pop();
                 Facts::default()
@@ -758,12 +925,7 @@ impl Analysis<'_> {
             ExprKind::Range { lo, hi } => {
                 let mut taint = None;
                 let mut params = 0u32;
-                if let Some(e) = lo {
-                    let f = self.eval(e);
-                    taint = taint.or(f.taint);
-                    params |= f.params;
-                }
-                if let Some(e) = hi {
+                for e in [lo, hi].into_iter().flatten() {
                     let f = self.eval(e);
                     taint = taint.or(f.taint);
                     params |= f.params;
@@ -788,6 +950,76 @@ impl Analysis<'_> {
         }
     }
 
+    fn shift_gate(&mut self, by: i32) {
+        if let Some(c) = self.check.as_mut() {
+            c.gate_depth = c.gate_depth.wrapping_add_signed(by);
+        }
+    }
+
+    /// Walks `e` for the dataflow half only.
+    fn eval_value_only(&mut self, e: &Expr) -> Facts {
+        self.value_only += 1;
+        let f = self.eval(e);
+        self.value_only -= 1;
+        f
+    }
+
+    fn eval_assign(&mut self, lhs: &Expr, rhs: &Expr) {
+        let r = self.eval(rhs);
+        // Unit check against the target's declared name.
+        let target_name = match &lhs.kind {
+            ExprKind::Path(segs) if segs.len() == 1 => Some(segs[0].clone()),
+            ExprKind::Field { name, .. } => Some(name.clone()),
+            _ => None,
+        };
+        if let (Some(name), Some(got)) = (&target_name, r.unit) {
+            if let Some(want) = unit_from_name(name) {
+                self.unit_mismatch(rhs, got, want, &format!("`{name}`"));
+            }
+        }
+        if let Some(key) = lvalue_key(lhs) {
+            let declared = target_name.as_deref().and_then(unit_from_name);
+            let facts = Facts {
+                unit: declared.or(r.unit),
+                ..r
+            };
+            self.bind_facts(key, facts);
+        } else {
+            self.eval_place(lhs);
+        }
+        if self.value_only > 0 {
+            return;
+        }
+        let resolved = self.origin_of(lhs);
+        // A plain-path assignment rebinds a local or by-value parameter;
+        // neither escapes the function. Writes count only through a
+        // projection or deref.
+        if !matches!(&lhs.kind, ExprKind::Path(_)) {
+            self.check_frozen_config(lhs);
+            self.record_write(&resolved, lhs, "assignment");
+        } else if let Some((root, depth)) = resolved.root {
+            // Still a capture-write if the rebound binding lives across
+            // a thread boundary.
+            self.capture_write(&root, depth, lhs);
+        }
+    }
+
+    /// Walks an untracked assignment target: the dataflow half sees all
+    /// of it; the write half only the index expressions, since the
+    /// written place itself is classified by the caller.
+    fn eval_place(&mut self, e: &Expr) {
+        match &e.kind {
+            ExprKind::Field { recv, .. } | ExprKind::Unary { expr: recv } => self.eval_place(recv),
+            ExprKind::Index { recv, index } => {
+                self.eval_place(recv);
+                self.eval(index);
+            }
+            _ => {
+                self.eval_value_only(e);
+            }
+        }
+    }
+
     fn eval_closure(&mut self, params: &[String], body: &Expr, cross: bool) -> Facts {
         if cross {
             self.next_boundary += 1;
@@ -796,14 +1028,11 @@ impl Analysis<'_> {
         }
         self.scopes.push(BTreeMap::new());
         for p in params {
-            let unit = unit_from_name(p);
-            self.bind(
-                p.clone(),
-                Facts {
-                    unit,
-                    ..Facts::default()
-                },
-            );
+            let facts = Facts {
+                unit: unit_from_name(p),
+                ..Facts::default()
+            };
+            self.bind(p.clone(), facts, Origin::Local);
         }
         let f = self.eval(body);
         self.scopes.pop();
@@ -821,7 +1050,7 @@ impl Analysis<'_> {
 
     fn eval_path(&mut self, e: &Expr, segs: &[String]) -> Facts {
         if segs.len() == 1 {
-            if let Some((depth, f)) = self.lookup_depth(&segs[0]) {
+            if let Some((depth, f)) = self.lookup(&segs[0]) {
                 self.check_capture(e, &segs[0], depth, f);
                 return f;
             }
@@ -829,6 +1058,7 @@ impl Analysis<'_> {
         let last = segs.last().map(String::as_str).unwrap_or("");
         // A const reference: unit from the symbol table or its name.
         let unit = self
+            .cx
             .symbols
             .const_units
             .get(last)
@@ -849,7 +1079,8 @@ impl Analysis<'_> {
         let Some(&(_, id)) = self.boundaries.iter().rev().find(|(bd, _)| depth < *bd) else {
             return;
         };
-        if !self.reported_captures.insert((id, name.to_owned())) {
+        let Some(c) = self.check.as_mut() else { return };
+        if !c.reported_captures.insert((id, name.to_owned())) {
             return;
         }
         self.cross_thread(
@@ -880,14 +1111,14 @@ impl Analysis<'_> {
             .collect()
     }
 
-    /// Applies a callee's [`FnSummary`] at a call site: arguments whose
+    /// Applies a callee's taint summary at a call site: arguments whose
     /// summary bit reaches a sink are sinks *here*, and arguments whose
     /// bit reaches the return value flow into the result facts.
     #[allow(clippy::too_many_arguments)]
-    fn apply_summary(
+    fn apply_taint_summary(
         &mut self,
         e: &Expr,
-        s: FnSummary,
+        s: &FnSummary,
         recv: Option<(&Expr, Facts)>,
         args: &[Expr],
         arg_facts: &[Facts],
@@ -899,7 +1130,7 @@ impl Analysis<'_> {
                 kind,
                 origin_line: e.span.line,
             }),
-            hashy: s.returns_hashy || self.symbols.hash_fns.contains(name),
+            hashy: s.returns_hashy || self.cx.symbols.hash_fns.contains(name),
             // A unit suffix on the callee's own name wins; otherwise the
             // summarized unit of its return paths flows out, so a `_ms`
             // value laundered through a suffix-less helper still reaches
@@ -936,17 +1167,23 @@ impl Analysis<'_> {
         };
         let crosses = CROSS_THREAD_FNS.contains(&callee_name);
         let arg_facts = self.eval_args(args, crosses);
+        let summaries = self.cx.summaries;
+        if self.value_only == 0 {
+            if let Some(s) = summaries.get(callee_name).filter(|s| !s.is_pure()) {
+                self.apply_write_summary(e, callee_name, s, None, args);
+            }
+        }
         let arg_taint = arg_facts.iter().find_map(|f| f.taint);
         let arg_params = arg_facts.iter().fold(0u32, |m, f| m | f.params);
         let ExprKind::Path(segs) = &callee.kind else {
-            self.eval(callee);
+            self.eval_value_only(callee);
             return Facts {
                 taint: arg_taint,
                 params: arg_params,
                 ..Facts::default()
             };
         };
-        let last = segs.last().map(String::as_str).unwrap_or("");
+        let last = callee_name;
         let has = |name: &str| segs.iter().any(|s| s == name);
 
         // Nondeterminism sources.
@@ -1011,7 +1248,7 @@ impl Analysis<'_> {
         }
 
         // Workspace functions with unit-suffixed parameters.
-        if let Some(units) = self.symbols.param_units(last) {
+        if let Some(units) = self.cx.symbols.param_units(last) {
             // Skip a leading `self` slot when signature and call-site
             // arities differ by one (free call of a method name).
             let offset = usize::from(units.len() == args.len() + 1);
@@ -1026,16 +1263,16 @@ impl Analysis<'_> {
         // names were already handled above (skipping them avoids a
         // duplicate report when a workspace fn shares a sink's name).
         if !SINK_METHODS.contains(&last) {
-            if let Some(s) = self.summaries.get(last) {
+            if let Some(s) = summaries.get(last) {
                 let offset = usize::from(s.has_self && s.arity == args.len() + 1);
-                return self.apply_summary(e, s, None, args, &arg_facts, offset, last);
+                return self.apply_taint_summary(e, s, None, args, &arg_facts, offset, last);
             }
         }
 
         Facts {
             taint: arg_taint,
             unit: unit_from_name(last),
-            hashy: self.symbols.hash_fns.contains(last),
+            hashy: self.cx.symbols.hash_fns.contains(last),
             params: arg_params,
             ..Facts::default()
         }
@@ -1045,6 +1282,9 @@ impl Analysis<'_> {
         let r = self.eval(recv);
         let crosses = CROSS_THREAD_FNS.contains(&method);
         let arg_facts = self.eval_args(args, crosses);
+        if self.value_only == 0 {
+            self.method_writes(e, recv, method, args);
+        }
         let arg_taint = arg_facts.iter().find_map(|f| f.taint);
         let arg_params = arg_facts.iter().fold(0u32, |m, f| m | f.params);
 
@@ -1061,7 +1301,7 @@ impl Analysis<'_> {
             for (arg, f) in args.iter().zip(&arg_facts) {
                 if f.completion {
                     self.report(
-                        FlowRule::OrderAgg,
+                        "shard-order-agg",
                         arg.span.line,
                         arg.span.col,
                         format!(
@@ -1149,10 +1389,17 @@ impl Analysis<'_> {
         // Interprocedural: a workspace method with a known summary.
         // Sink/aggregation names were already handled directly above.
         if !SINK_METHODS.contains(&method) && !AGG_METHODS.contains(&method) {
-            if let Some(s) = self.summaries.get(method) {
-                if s.has_self {
-                    return self.apply_summary(e, s, Some((recv, r)), args, &arg_facts, 1, method);
-                }
+            let summaries = self.cx.summaries;
+            if let Some(s) = summaries.get(method).filter(|s| s.has_self) {
+                return self.apply_taint_summary(
+                    e,
+                    s,
+                    Some((recv, r)),
+                    args,
+                    &arg_facts,
+                    1,
+                    method,
+                );
             }
         }
 
@@ -1163,10 +1410,363 @@ impl Analysis<'_> {
         Facts {
             taint: r.taint.or(arg_taint),
             unit: None,
-            hashy: r.hashy || self.symbols.hash_fns.contains(method),
+            hashy: r.hashy || self.cx.symbols.hash_fns.contains(method),
             params: r.params | arg_params,
             completion: r.completion,
             channel: r.channel,
+        }
+    }
+
+    // ── the write half ───────────────────────────────────────────────
+
+    /// Resolves what an lvalue (or reference expression) names. Walks
+    /// through field projections, indexing, `&`/`*`, `?`, casts, and
+    /// reference-projecting methods.
+    fn origin_of(&self, e: &Expr) -> Resolved {
+        match &e.kind {
+            ExprKind::Path(segs) if segs.len() == 1 => {
+                let name = &segs[0];
+                if let Some((depth, origin)) = self.resolve(name) {
+                    Resolved {
+                        origin: Some(origin),
+                        root: Some((name.clone(), depth)),
+                    }
+                } else {
+                    Resolved {
+                        origin: is_screaming(name).then(|| Origin::Static(name.clone())),
+                        root: None,
+                    }
+                }
+            }
+            ExprKind::Field { recv, name } => {
+                let mut r = self.origin_of(recv);
+                if let Some(Origin::Param { field, .. }) = &mut r.origin {
+                    if field.is_none() {
+                        *field = Some(name.clone());
+                    }
+                }
+                r
+            }
+            ExprKind::Index { recv, .. } => self.origin_of(recv),
+            ExprKind::Unary { expr } | ExprKind::Try { expr } => self.origin_of(expr),
+            ExprKind::Cast { expr, .. } => self.origin_of(expr),
+            ExprKind::MethodCall { recv, method, .. }
+                if PROJECTION_METHODS.contains(&method.as_str()) =>
+            {
+                self.origin_of(recv)
+            }
+            _ => Resolved {
+                origin: None,
+                root: None,
+            },
+        }
+    }
+
+    /// Classifies a composed write through parameter `idx` (first
+    /// projection `field`, empty = the pointee itself).
+    fn write_class(&self, idx: usize, field: &str) -> StateClass {
+        if self.param_observer.get(idx).copied().unwrap_or(false) {
+            return StateClass::Observer;
+        }
+        if field.is_empty() {
+            StateClass::Sim
+        } else {
+            self.cx.model.field_class(field)
+        }
+    }
+
+    fn gated(&self) -> bool {
+        self.check
+            .as_ref()
+            .is_some_and(|c| c.families.sim && c.gate_depth > 0)
+    }
+
+    /// Reports a write to a binding that lives outside the innermost
+    /// thread-crossing closure.
+    fn capture_write(&mut self, root: &str, depth: usize, e: &Expr) {
+        let crossing = self.check.as_ref().is_some_and(|c| c.families.shard)
+            && self.boundaries.last().is_some_and(|(b, _)| depth < *b);
+        if crossing {
+            self.report_write(
+                "shard-cross-thread",
+                e.span.line,
+                e.span.col,
+                format!(
+                    "closure passed to a thread-crossing call writes captured `{root}` — \
+                     per-shard results must be merged by index, not by shared mutation"
+                ),
+            );
+        }
+    }
+
+    /// Records a direct write through `resolved` at `e` (an assignment
+    /// target or a mutated receiver), updating the summary and firing
+    /// the check-mode rules.
+    fn record_write(&mut self, resolved: &Resolved, e: &Expr, what: &str) {
+        if let Some((root, depth)) = &resolved.root {
+            self.capture_write(root, *depth, e);
+        }
+        match resolved.origin.clone() {
+            Some(Origin::Param { idx, field }) => {
+                let field = field.unwrap_or_default();
+                if self.write_class(idx, &field) == StateClass::Sim {
+                    if self.gated() {
+                        let target = self.describe_param_write(idx, &field);
+                        self.report_write(
+                            "observer-purity",
+                            e.span.line,
+                            e.span.col,
+                            format!(
+                                "observation-gated code writes sim state {target} ({what}) — \
+                                 observer layers must not perturb the simulation"
+                            ),
+                        );
+                    }
+                    self.summary.sim_writes.insert((idx, field));
+                }
+            }
+            Some(Origin::Static(name)) => {
+                if self.cx.model.static_class(&name) == StateClass::Sim {
+                    if self.check.as_ref().is_some_and(|c| c.families.sim) {
+                        self.report_write(
+                            "shard-shared-state",
+                            e.span.line,
+                            e.span.col,
+                            format!(
+                                "static `{name}` is written here ({what}) — per-shard runs \
+                                 must not communicate through process globals"
+                            ),
+                        );
+                    }
+                    if self.gated() {
+                        self.report_write(
+                            "observer-purity",
+                            e.span.line,
+                            e.span.col,
+                            format!("observation-gated code writes static `{name}` ({what})"),
+                        );
+                    }
+                    self.summary.sim_statics.insert(name);
+                }
+            }
+            Some(Origin::Local) | None => {}
+        }
+    }
+
+    fn describe_param_write(&self, idx: usize, field: &str) -> String {
+        if idx == 0 && self.summary.has_self {
+            if field.is_empty() {
+                "`self`".to_owned()
+            } else {
+                format!("`self.{field}`")
+            }
+        } else if field.is_empty() {
+            format!("parameter {idx}")
+        } else {
+            format!("`.{field}` of parameter {idx}")
+        }
+    }
+
+    /// The write half of a method call: `.validate()` freezes a tracked
+    /// config binding; a summarized method's writes compose onto the
+    /// receiver and arguments; an unsummarized mutating method writes
+    /// its receiver.
+    fn method_writes(&mut self, e: &Expr, recv: &Expr, method: &str, args: &[Expr]) {
+        if method == "validate" && args.is_empty() {
+            if let (ExprKind::Path(segs), Some(c)) = (&recv.kind, self.check.as_mut()) {
+                if let Some(frozen) = segs
+                    .first()
+                    .filter(|_| segs.len() == 1)
+                    .and_then(|s| c.cfg_bindings.get_mut(s))
+                {
+                    *frozen = true;
+                }
+            }
+        }
+        let summaries = self.cx.summaries;
+        match summaries.get(method) {
+            Some(s) if s.has_self && !s.is_pure() => {
+                self.apply_write_summary(e, method, s, Some(recv), args);
+            }
+            None if is_mutating_method(method, args.len()) => {
+                let resolved = self.origin_of(recv);
+                self.record_write(&resolved, e, &format!("`.{method}(..)`"));
+            }
+            _ => {}
+        }
+    }
+
+    /// Applies a known callee's write effects at a call site: its
+    /// parameter writes compose onto this call's receiver/arguments.
+    fn apply_write_summary(
+        &mut self,
+        e: &Expr,
+        callee_name: &str,
+        s: &FnSummary,
+        recv: Option<&Expr>,
+        args: &[Expr],
+    ) {
+        let mut gated_hits: Vec<String> = Vec::new();
+        let offset = usize::from(recv.is_some());
+        for (j, f) in &s.sim_writes {
+            let target: Option<&Expr> = if *j == 0 && recv.is_some() {
+                recv
+            } else {
+                args.get(j - offset)
+            };
+            let Some(target) = target else { continue };
+            match self.origin_of(target).origin {
+                Some(Origin::Param { idx, field }) => {
+                    // The caller's projection is the classification
+                    // anchor: writing `callee(&mut self.stats)` where the
+                    // callee touches `.count` is a write to `self.stats`.
+                    let field = field
+                        .or_else(|| (!f.is_empty()).then(|| f.clone()))
+                        .unwrap_or_default();
+                    if self.write_class(idx, &field) == StateClass::Sim {
+                        if self.gated() {
+                            gated_hits.push(self.describe_param_write(idx, &field));
+                        }
+                        self.summary.sim_writes.insert((idx, field));
+                    }
+                }
+                Some(Origin::Static(name))
+                    if self.cx.model.static_class(&name) == StateClass::Sim =>
+                {
+                    if self.gated() {
+                        gated_hits.push(format!("static `{name}`"));
+                    }
+                    self.summary.sim_statics.insert(name);
+                }
+                // An unresolvable target (a temporary, an untracked
+                // accessor return): conservatively assume the callee's
+                // sim write lands somewhere real when observation-gated.
+                None if self.gated() => {
+                    gated_hits.push(format!("`{}`", describe_expr(target)));
+                }
+                _ => {}
+            }
+        }
+        for name in &s.sim_statics {
+            if self.cx.model.static_class(name) == StateClass::Sim {
+                if self.gated() {
+                    gated_hits.push(format!("static `{name}`"));
+                }
+                self.summary.sim_statics.insert(name.clone());
+            }
+        }
+        if !gated_hits.is_empty() {
+            gated_hits.dedup();
+            let msg = format!(
+                "observation-gated call to `{callee_name}` may write sim state ({}) — \
+                 observer layers must not perturb the simulation",
+                gated_hits.join(", ")
+            );
+            self.report_write("observer-purity", e.span.line, e.span.col, msg);
+        }
+    }
+
+    /// Tracks `let` bindings that hold a `SystemConfig` for the
+    /// frozen-config rule (by type ascription, constructor path, or a
+    /// clone of an already-tracked binding).
+    fn track_config_binding(&mut self, name: &str, ty: Option<&TypeRef>, init: Option<&Expr>) {
+        if self.value_only > 0 {
+            return;
+        }
+        let Some(c) = self.check.as_mut().filter(|c| c.families.sim) else {
+            return;
+        };
+        let is_config = ty.is_some_and(|t| t.idents.iter().any(|i| i == "SystemConfig"))
+            || init.is_some_and(|e| match &e.kind {
+                ExprKind::Call { callee, .. } => match &callee.kind {
+                    ExprKind::Path(segs) => segs.iter().any(|s| s == "SystemConfig"),
+                    _ => false,
+                },
+                ExprKind::StructLit { path, .. } => path.iter().any(|s| s == "SystemConfig"),
+                ExprKind::MethodCall { recv, method, .. } if method == "clone" => {
+                    matches!(&recv.kind, ExprKind::Path(segs)
+                        if segs.len() == 1 && c.cfg_bindings.contains_key(&segs[0]))
+                }
+                _ => false,
+            });
+        if is_config {
+            c.cfg_bindings.insert(name.to_owned(), false);
+        }
+    }
+
+    /// The frozen-config check for an assignment target: a field write
+    /// into a validated binding, or through a stored config field.
+    fn check_frozen_config(&mut self, lhs: &Expr) {
+        let Some(c) = self.check.as_ref() else { return };
+        if !c.families.sim || self.owner == Some("SystemConfig") {
+            return;
+        }
+        let (root, fields) = field_chain(lhs);
+        let Some((_, path)) = fields.split_last() else {
+            return;
+        };
+        // The written field is the last element; everything before it
+        // is the access path. A config anywhere on the path means the
+        // write lands inside a stored (hence validated) config.
+        let via_stored = path.iter().any(|f| self.cx.model.is_config_field(f));
+        let via_frozen = root
+            .as_ref()
+            .and_then(|r| c.cfg_bindings.get(r))
+            .copied()
+            .unwrap_or(false);
+        if via_stored || via_frozen {
+            let target = fields.join(".");
+            let why = if via_frozen {
+                "after `validate()` returned"
+            } else {
+                "through a stored config (post-validate by construction)"
+            };
+            self.report_write(
+                "frozen-config",
+                lhs.span.line,
+                lhs.span.col,
+                format!(
+                    "`SystemConfig` field `{target}` is mutated {why} — validated \
+                     configs are frozen; build, then validate, then run"
+                ),
+            );
+        }
+    }
+
+    /// Names bound by `if let` / `while let` conditions, with the
+    /// origin of the unwrapped scrutinee: `if let Some(m) =
+    /// self.metrics.as_mut()` binds `m` to `self.metrics`, so writes
+    /// through `m` classify by the `metrics` field.
+    fn cond_bindings(&self, cond: &Expr) -> Vec<(String, Origin)> {
+        let mut out = Vec::new();
+        self.collect_cond_bindings(cond, &mut out);
+        out
+    }
+
+    fn collect_cond_bindings(&self, cond: &Expr, out: &mut Vec<(String, Origin)>) {
+        match &cond.kind {
+            ExprKind::LetCond { names, expr } => {
+                // A binding unwrapped out of an observer-typed field
+                // (`if let Some(m) = self.metrics.as_mut()`) IS the
+                // observer: writes through it are observation state no
+                // matter what class the field *name* resolves to under
+                // the workspace-wide conflict rule.
+                let mut origin = self.origin_of(expr).origin.unwrap_or(Origin::Local);
+                if let Origin::Param { field: Some(f), .. } = &origin {
+                    if self.cx.model.is_gate_field(f) {
+                        origin = Origin::Local;
+                    }
+                }
+                for n in names {
+                    out.push((n.clone(), origin.clone()));
+                }
+            }
+            ExprKind::Binary { lhs, rhs, .. } => {
+                self.collect_cond_bindings(lhs, out);
+                self.collect_cond_bindings(rhs, out);
+            }
+            ExprKind::Unary { expr } => self.collect_cond_bindings(expr, out),
+            _ => {}
         }
     }
 }
@@ -1186,7 +1786,7 @@ fn lvalue_key(e: &Expr) -> Option<String> {
     }
 }
 
-/// A short human label for an expression, used in messages.
+/// A short human label for an expression, used in dataflow messages.
 fn describe(e: &Expr) -> String {
     match &e.kind {
         ExprKind::Path(segs) => format!("`{}`", segs.join("::")),
@@ -1204,65 +1804,145 @@ fn describe(e: &Expr) -> String {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ast::{walk_fns, ItemKind};
-    use crate::lexer::lex;
-    use crate::parser::parse_file;
-    use crate::symbols::parse_unit_annotations;
+/// Short rendering of a write target for write-rule messages.
+fn describe_expr(e: &Expr) -> String {
+    match &e.kind {
+        ExprKind::Path(segs) => segs.join("::"),
+        ExprKind::Field { recv, name } => format!("{}.{name}", describe_expr(recv)),
+        ExprKind::MethodCall { recv, method, .. } => {
+            format!("{}.{method}(..)", describe_expr(recv))
+        }
+        ExprKind::Unary { expr } | ExprKind::Try { expr } => describe_expr(expr),
+        ExprKind::Index { recv, .. } => format!("{}[..]", describe_expr(recv)),
+        _ => "<expr>".to_owned(),
+    }
+}
 
-    fn run(src: &str) -> Vec<FlowFinding> {
-        let toks = lex(src);
-        let file = parse_file(&toks);
-        assert_eq!(file.recovered_skips, 0, "test source must parse");
-        let (anns, bad) = parse_unit_annotations(&toks);
-        assert!(bad.is_empty(), "{bad:?}");
-        let symbols = Symbols::build(&[(&file, &anns)]);
-        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols);
-        let mut out = Vec::new();
-        walk_fns(&file, &mut |_, f| {
-            analyze_fn(
-                f,
-                &symbols,
-                &anns,
-                &summaries,
-                FlowFamilies::all(),
-                &mut out,
-            );
-        });
-        // Also walk functions inside cfg(test) mods for test purposes.
-        for item in &file.items {
-            if let ItemKind::Mod(m) = &item.kind {
-                if m.cfg_test {
-                    for it in &m.items {
-                        if let ItemKind::Fn(f) = &it.kind {
-                            analyze_fn(
-                                f,
-                                &symbols,
-                                &anns,
-                                &summaries,
-                                FlowFamilies::all(),
-                                &mut out,
-                            );
-                        }
-                    }
+/// Whether an unknown method mutates its receiver. `take` only counts
+/// with no arguments (`Option::take`), not `Iterator::take(n)`.
+fn is_mutating_method(method: &str, argc: usize) -> bool {
+    if method == "take" {
+        return argc == 0;
+    }
+    MUTATING_METHODS.contains(&method)
+}
+
+/// SCREAMING_CASE test for bare paths that name statics/consts.
+fn is_screaming(name: &str) -> bool {
+    name.len() > 1
+        && name
+            .chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+        && name.chars().any(|c| c.is_ascii_uppercase())
+}
+
+/// Decomposes an lvalue into its root binding and field path, e.g.
+/// `self.cfg.population` → (`Some("self")`, `["cfg", "population"]`).
+fn field_chain(e: &Expr) -> (Option<String>, Vec<String>) {
+    match &e.kind {
+        ExprKind::Path(segs) if segs.len() == 1 => (Some(segs[0].clone()), Vec::new()),
+        ExprKind::Field { recv, name } => {
+            let (root, mut fields) = field_chain(recv);
+            fields.push(name.clone());
+            (root, fields)
+        }
+        ExprKind::Index { recv, .. } | ExprKind::Unary { expr: recv } => field_chain(recv),
+        _ => (None, Vec::new()),
+    }
+}
+
+/// Whether a condition gates on observation being enabled: it reads a
+/// `cfg.trace` / `cfg.metrics` / `cfg.prof` flag, or unwraps an
+/// observer-classified optional field (`self.metrics.as_mut()`).
+fn is_gated_cond(cond: &Expr, model: &StateModel) -> bool {
+    let mut gated = false;
+    walk_expr(cond, &mut |e| match &e.kind {
+        ExprKind::Field { recv, name }
+            if GATE_FLAGS.contains(&name.as_str()) && mentions_cfg(recv) =>
+        {
+            gated = true;
+        }
+        ExprKind::MethodCall { recv, method, .. }
+            if matches!(method.as_str(), "as_mut" | "as_ref" | "is_some") =>
+        {
+            if let ExprKind::Field { name, .. } = &recv.kind {
+                if model.is_gate_field(name) {
+                    gated = true;
                 }
             }
         }
-        out
+        _ => {}
+    });
+    gated
+}
+
+/// Whether an expression mentions a config receiver (`cfg`, `self.cfg`,
+/// `sim.model().cfg`, ...).
+fn mentions_cfg(e: &Expr) -> bool {
+    let mut found = false;
+    walk_expr(e, &mut |sub| match &sub.kind {
+        ExprKind::Path(segs) if segs.iter().any(|s| s == "cfg" || s == "config") => found = true,
+        ExprKind::Field { name, .. } if name == "cfg" || name == "config" => found = true,
+        _ => {}
+    });
+    found
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::ast::{walk_fns, File};
+    use crate::callgraph;
+    use crate::lexer::lex;
+    use crate::parser::parse_file;
+    use crate::symbols::{parse_state_annotations, parse_unit_annotations};
+
+    /// Full single-file pipeline: symbols, state model, summaries, then
+    /// the checker over every function under `families`. Returns the
+    /// model, the summaries and both finding groups.
+    pub(crate) fn pipeline(
+        src: &str,
+        families: FlowFamilies,
+    ) -> (StateModel, Summaries, Vec<Finding>, Vec<Finding>) {
+        let toks = lex(src);
+        let file: File = parse_file(&toks);
+        assert_eq!(file.recovered_skips, 0, "test source must parse");
+        let (anns, bad) = parse_unit_annotations(&toks);
+        assert!(bad.is_empty(), "{bad:?}");
+        let (state_anns, bad) = parse_state_annotations(&toks);
+        assert!(bad.is_empty(), "{bad:?}");
+        let symbols = Symbols::build(&[(&file, &anns)]);
+        let model = StateModel::build(&[(&file, &state_anns)]);
+        let summaries = callgraph::build(&[(&file, &anns)], &symbols, &model);
+        let cx = Context {
+            symbols: &symbols,
+            model: &model,
+            summaries: &summaries,
+        };
+        let (mut flow, mut writes) = (Vec::new(), Vec::new());
+        walk_fns(&file, &mut |owner, f| {
+            let (fl, wr) = check_fn(f, owner, &anns, cx, families, "x.rs");
+            flow.extend(fl);
+            writes.extend(wr);
+        });
+        (model, summaries, flow, writes)
     }
 
-    fn count(f: &[FlowFinding], rule: FlowRule) -> usize {
+    /// The dataflow findings of `src` in sim-crate scope.
+    fn run(src: &str) -> Vec<Finding> {
+        pipeline(src, FlowFamilies::all()).2
+    }
+
+    fn count(f: &[Finding], rule: &str) -> usize {
         f.iter().filter(|x| x.rule == rule).count()
     }
 
-    fn taints(f: &[FlowFinding]) -> usize {
-        count(f, FlowRule::Taint)
+    fn taints(f: &[Finding]) -> usize {
+        count(f, "nondet-taint")
     }
 
-    fn units(f: &[FlowFinding]) -> usize {
-        count(f, FlowRule::Unit)
+    fn units(f: &[Finding]) -> usize {
+        count(f, "time-unit")
     }
 
     #[test]
@@ -1481,7 +2161,7 @@ mod tests {
                });\n\
              }");
         // One finding per (boundary, name): two spawns, one capture each.
-        assert_eq!(count(&f, FlowRule::CrossThread), 2, "{f:?}");
+        assert_eq!(count(&f, "shard-cross-thread"), 2, "{f:?}");
     }
 
     #[test]
@@ -1490,7 +2170,7 @@ mod tests {
                let m = HashMap::new();\n\
                par_runs(items, |k| m.len() + k);\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 1, "{f:?}");
+        assert_eq!(count(&f, "shard-cross-thread"), 1, "{f:?}");
     }
 
     #[test]
@@ -1498,7 +2178,7 @@ mod tests {
         let f = run("pub fn good(cfg: u64, items: Vec<u64>) {\n\
                par_runs(items, |k| k + cfg);\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 0, "{f:?}");
+        assert_eq!(count(&f, "shard-cross-thread"), 0, "{f:?}");
     }
 
     #[test]
@@ -1509,7 +2189,7 @@ mod tests {
                  k + start\n\
                });\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 0, "{f:?}");
+        assert_eq!(count(&f, "shard-cross-thread"), 0, "{f:?}");
     }
 
     #[test]
@@ -1518,7 +2198,7 @@ mod tests {
                let t = Instant::now();\n\
                tx.send(t);\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 1, "{f:?}");
+        assert_eq!(count(&f, "shard-cross-thread"), 1, "{f:?}");
     }
 
     #[test]
@@ -1532,7 +2212,7 @@ mod tests {
                }\n\
                out\n\
              }");
-        assert_eq!(count(&f, FlowRule::OrderAgg), 1, "{f:?}");
+        assert_eq!(count(&f, "shard-order-agg"), 1, "{f:?}");
     }
 
     #[test]
@@ -1544,7 +2224,7 @@ mod tests {
                  out[idx] = v;\n\
                }\n\
              }");
-        assert_eq!(count(&f, FlowRule::OrderAgg), 0, "{f:?}");
+        assert_eq!(count(&f, "shard-order-agg"), 0, "{f:?}");
     }
 
     #[test]
@@ -1555,31 +2235,75 @@ mod tests {
                  acc.push(v);\n\
                }\n\
              }");
-        assert_eq!(count(&f, FlowRule::OrderAgg), 1, "{f:?}");
+        assert_eq!(count(&f, "shard-order-agg"), 1, "{f:?}");
     }
 
     #[test]
     fn shard_family_gating_suppresses_taint_reports() {
-        let toks = lex("pub fn bench(q: &mut Q) {\n\
+        let (_, _, out, _) = pipeline(
+            "pub fn bench(q: &mut Q) {\n\
                let t = Instant::now();\n\
                q.push(t);\n\
-             }");
-        let file = parse_file(&toks);
-        assert_eq!(file.recovered_skips, 0);
-        let (anns, _) = parse_unit_annotations(&toks);
-        let symbols = Symbols::build(&[(&file, &anns)]);
-        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols);
-        let mut out = Vec::new();
-        walk_fns(&file, &mut |_, f| {
-            analyze_fn(
-                f,
-                &symbols,
-                &anns,
-                &summaries,
-                FlowFamilies::shard_only(),
-                &mut out,
-            );
-        });
+             }",
+            FlowFamilies::shard_only(),
+        );
         assert_eq!(out.len(), 0, "{out:?}");
+    }
+
+    // ── both halves at one call site ─────────────────────────────────
+
+    #[test]
+    fn gated_helper_that_taints_and_writes_is_reported_once_per_rule() {
+        // `stamp` returns wall-clock time *and* bumps a sim counter; the
+        // gated caller schedules its result. One walk must yield exactly
+        // one `nondet-taint` (the value) and one `observer-purity` (the
+        // write) at the helper's call site.
+        let src = "\
+            pub struct Cfg { pub trace: bool }\n\
+            pub struct Sys { pub cfg: Cfg, pub ticks: u64 }\n\
+            impl Sys {\n\
+                fn stamp(&mut self) -> u64 {\n\
+                    self.ticks += 1;\n\
+                    Instant::now()\n\
+                }\n\
+                pub fn step(&mut self, sched: &mut Sched) {\n\
+                    if self.cfg.trace {\n\
+                        sched.schedule(self.stamp(), 0);\n\
+                    }\n\
+                }\n\
+            }\n";
+        let (_, summaries, flow, writes) = pipeline(src, FlowFamilies::all());
+        let stamp = summaries.get("stamp").unwrap();
+        assert_eq!(stamp.returns_taint, Some(TaintKind::WallClock));
+        assert!(
+            stamp.sim_writes.contains(&(0, "ticks".to_owned())),
+            "{stamp:?}"
+        );
+        // The helper call `self.stamp()` on line 10.
+        let col = src
+            .lines()
+            .nth(9)
+            .and_then(|l| l.find("self.stamp()"))
+            .unwrap()
+            + 1;
+        let all: Vec<&Finding> = flow
+            .iter()
+            .chain(&writes)
+            .filter(|f| f.line == 10 && f.col as usize == col)
+            .collect();
+        assert_eq!(
+            all.iter().filter(|f| f.rule == "nondet-taint").count(),
+            1,
+            "{flow:?}"
+        );
+        assert_eq!(
+            all.iter().filter(|f| f.rule == "observer-purity").count(),
+            1,
+            "{writes:?}"
+        );
+        assert!(
+            all.iter().any(|f| f.message.contains("`stamp`")),
+            "{writes:?}"
+        );
     }
 }

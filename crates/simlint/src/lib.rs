@@ -30,18 +30,19 @@
 //! The first nine are token-stream heuristics; the rest run on a real
 //! (if lightweight) syntax tree: [`parser`] builds an [`ast`] from the
 //! lexer's tokens, [`symbols`] collects cross-file facts (enum
-//! variants, hash-returning functions, declared time units),
-//! [`callgraph`] condenses the cross-file call graph into per-function
-//! taint summaries (a fixpoint over strongly connected components, so
-//! recursion terminates), and [`dataflow`] pushes taint, unit, and
-//! thread-crossing facts through each function body, consulting the
-//! summaries at call sites so nondeterminism laundered through helper
-//! functions is still caught. [`effects`] runs a second bottom-up pass
-//! over the same call graph, summarizing which state (struct fields,
-//! statics, `&mut` parameters) each function may *write*, classifies
-//! every written location as sim vs observer state, and proves
-//! observation-gated code cannot perturb the simulation — statically,
-//! where the golden-digest suite checks three seeds dynamically.
+//! variants, hash-returning functions, declared time units), and
+//! [`effects`] classifies every struct field and static as sim or
+//! observer state. [`callgraph`] then condenses the cross-file call graph
+//! into one [`callgraph::FnSummary`] per function — taint, unit and
+//! hash facts plus the sim state it may write — with one bottom-up
+//! fixpoint over strongly connected components, so recursion
+//! terminates. [`dataflow`] is the one body walker: the fixpoint runs it
+//! in summarize mode to compute each summary, and in check mode it
+//! pushes taint, unit, thread-crossing and write facts through each
+//! function body, consulting the summaries at call sites. So nondeterminism laundered through helper functions
+//! is still caught, and observation-gated code is proven not to perturb
+//! the simulation — statically, where the golden-digest suite checks
+//! three seeds dynamically.
 //! Everything is hand-rolled (lexer
 //! included) because the build environment has no registry access: no
 //! `syn`, no `proc-macro2`, no `serde`.
@@ -94,7 +95,9 @@ pub mod workspace;
 use std::fs;
 use std::path::Path;
 
-use effects::StateAnnotations;
+use callgraph::Summaries;
+use dataflow::Context;
+use effects::{StateAnnotations, StateModel};
 use fix::{FileFix, StaleAllow};
 use lexer::{lex, Token};
 use report::{parse_suppressions, Finding, Report, Suppression};
@@ -234,50 +237,23 @@ fn parse_comment_directives(
 ) {
     let (suppressions, malformed) = parse_suppressions(tokens);
     for (line, col, msg) in malformed {
-        raw.push(Finding {
-            rule: "bad-suppression",
-            path: rel_path.to_owned(),
-            line,
-            col,
-            message: msg,
-            fingerprint: 0,
-        });
+        raw.push(Finding::new("bad-suppression", rel_path, line, col, msg));
     }
     for s in &suppressions {
         for r in &s.rules {
             if rule_named(r).is_none() {
-                raw.push(Finding {
-                    rule: "bad-suppression",
-                    path: rel_path.to_owned(),
-                    line: s.line,
-                    col: 1,
-                    message: format!("suppression names unknown rule `{r}`"),
-                    fingerprint: 0,
-                });
+                let msg = format!("suppression names unknown rule `{r}`");
+                raw.push(Finding::new("bad-suppression", rel_path, s.line, 1, msg));
             }
         }
     }
     let (anns, bad_anns) = parse_unit_annotations(tokens);
     for (line, col, msg) in bad_anns {
-        raw.push(Finding {
-            rule: "time-unit",
-            path: rel_path.to_owned(),
-            line,
-            col,
-            message: msg,
-            fingerprint: 0,
-        });
+        raw.push(Finding::new("time-unit", rel_path, line, col, msg));
     }
     let (state_anns, bad_states) = parse_state_annotations(tokens);
     for (line, col, msg) in bad_states {
-        raw.push(Finding {
-            rule: "observer-purity",
-            path: rel_path.to_owned(),
-            line,
-            col,
-            message: msg,
-            fingerprint: 0,
-        });
+        raw.push(Finding::new("observer-purity", rel_path, line, col, msg));
     }
     let spans = ast::collect_scope_spans(file);
     let scopes = suppressions
@@ -351,6 +327,67 @@ fn stale_message(s: &Suppression, used: &[bool]) -> Option<(Vec<String>, Vec<Str
     Some((stale, keep, message))
 }
 
+/// One parsed file as the workspace-wide tables see it.
+struct TableInput<'a> {
+    file: &'a ast::File,
+    anns: &'a UnitAnnotations,
+    state_anns: &'a StateAnnotations,
+    /// Library code: feeds the symbol table and the state model.
+    lib: bool,
+    /// Flow-analyzed code: feeds the function summaries.
+    flow: bool,
+}
+
+/// The workspace-wide tables the AST checks read.
+struct Tables {
+    symbols: Symbols,
+    model: StateModel,
+    summaries: Summaries,
+}
+
+impl Tables {
+    /// The symbol table and the state model see every library file —
+    /// sim crates for the rules, the rest so name collisions degrade to
+    /// "no facts" instead of wrong facts, and an observer struct
+    /// declared in one crate classifies fields referenced from another.
+    /// Function summaries span exactly the files the dataflow rules
+    /// visit, so a helper defined in one crate is understood at call
+    /// sites in another.
+    fn build(inputs: &[TableInput<'_>]) -> Tables {
+        let lib = || inputs.iter().filter(|i| i.lib);
+        let symbols = Symbols::build(&lib().map(|i| (i.file, i.anns)).collect::<Vec<_>>());
+        let model = StateModel::build(&lib().map(|i| (i.file, i.state_anns)).collect::<Vec<_>>());
+        let flow: Vec<_> = inputs
+            .iter()
+            .filter(|i| i.flow)
+            .map(|i| (i.file, i.anns))
+            .collect();
+        let summaries = callgraph::build(&flow, &symbols, &model);
+        Tables {
+            symbols,
+            model,
+            summaries,
+        }
+    }
+
+    /// Token rules plus AST rules for one file.
+    fn check(
+        &self,
+        input: &FileInput<'_>,
+        file: &ast::File,
+        anns: &UnitAnnotations,
+    ) -> Vec<Finding> {
+        let cx = Context {
+            symbols: &self.symbols,
+            model: &self.model,
+            summaries: &self.summaries,
+        };
+        let mut out = check_file(input);
+        out.extend(check_ast(input, file, anns, cx));
+        out
+    }
+}
+
 /// Lints the workspace rooted at `root` and returns the full report,
 /// sorted for stable output.
 ///
@@ -407,52 +444,20 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
         parsed.push((file, anns, state_anns));
     }
 
-    // The symbol table sees every library file — sim crates for the
-    // rules, the rest so name collisions degrade to "no facts" instead
-    // of wrong facts.
-    let symbol_inputs: Vec<(&ast::File, &UnitAnnotations)> = ws
+    let inputs: Vec<TableInput<'_>> = ws
         .files
         .iter()
         .zip(&parsed)
-        .filter(|(f, _)| f.role == FileRole::Lib)
-        .map(|(_, (file, anns, _))| (file, anns))
+        .map(|(f, (file, anns, state_anns))| TableInput {
+            file,
+            anns,
+            state_anns,
+            lib: f.role == FileRole::Lib,
+            flow: rules::flow_families_for(&f.crate_name, f.role).is_some(),
+        })
         .collect();
-    let symbols = Symbols::build(&symbol_inputs);
-
-    // The state model (sim vs observer classification) sees the same
-    // library scope as the symbol table, so an observer struct declared
-    // in one crate classifies fields referenced from another.
-    let state_inputs: Vec<(&ast::File, &StateAnnotations)> = ws
-        .files
-        .iter()
-        .zip(&parsed)
-        .filter(|(f, _)| f.role == FileRole::Lib)
-        .map(|(_, (file, _, state_anns))| (file, state_anns))
-        .collect();
-    let state_model = effects::StateModel::build(&state_inputs);
-
-    // Function summaries span exactly the files the dataflow rules will
-    // visit (sim-crate libraries plus the bench library), so a helper
-    // defined in one crate is understood at call sites in another.
-    let summary_inputs: Vec<(&ast::File, &UnitAnnotations)> = ws
-        .files
-        .iter()
-        .zip(&parsed)
-        .filter(|(f, _)| rules::flow_families_for(&f.crate_name, f.role).is_some())
-        .map(|(_, (file, anns, _))| (file, anns))
-        .collect();
-    let summaries = callgraph::build(&summary_inputs, &symbols);
-    report.dropped_symbols = summaries.dropped();
-
-    // Write-effect summaries cover the same flow-analyzed scope.
-    let effect_inputs: Vec<(&ast::File, &StateAnnotations)> = ws
-        .files
-        .iter()
-        .zip(&parsed)
-        .filter(|(f, _)| rules::flow_families_for(&f.crate_name, f.role).is_some())
-        .map(|(_, (file, _, state_anns))| (file, state_anns))
-        .collect();
-    let effects_table = effects::build(&effect_inputs, &state_model);
+    let tables = Tables::build(&inputs);
+    report.dropped_symbols = tables.summaries.dropped();
 
     // Pass 2: token rules + AST/dataflow rules per file, fanned out the
     // same way; per-file finding vectors are re-joined in file order.
@@ -468,17 +473,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
             tokens: &fd.tokens,
             is_crate_root: fd.is_crate_root,
         };
-        let mut out = check_file(&input);
-        out.extend(check_ast(
-            &input,
-            file,
-            &symbols,
-            anns,
-            &summaries,
-            &state_model,
-            &effects_table,
-        ));
-        out
+        tables.check(&input, file, anns)
     });
     for findings in per_file {
         raw.extend(findings);
@@ -517,14 +512,8 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
         let mut stale_plans = Vec::new();
         for (s, used) in fd.suppressions.iter().zip(&fd.used) {
             if let Some((_, keep, message)) = stale_message(s, used) {
-                report.findings.push(Finding {
-                    rule: "bad-suppression",
-                    path: fd.rel_path.clone(),
-                    line: s.line,
-                    col: 1,
-                    message,
-                    fingerprint: 0,
-                });
+                let f = Finding::new("bad-suppression", &fd.rel_path, s.line, 1, message);
+                report.findings.push(f);
                 stale_plans.push(StaleAllow { line: s.line, keep });
             }
         }
@@ -584,8 +573,13 @@ pub fn lint_source(
     let mut raw: Vec<Finding> = Vec::new();
     let (suppressions, scopes, anns, state_anns) =
         parse_comment_directives(&tokens, &file, rel_path, &mut raw);
-    let symbols = Symbols::build(&[(&file, &anns)]);
-    let state_model = effects::StateModel::build(&[(&file, &state_anns)]);
+    let tables = Tables::build(&[TableInput {
+        file: &file,
+        anns: &anns,
+        state_anns: &state_anns,
+        lib: true,
+        flow: true,
+    }]);
     let input = FileInput {
         crate_name,
         role,
@@ -593,18 +587,7 @@ pub fn lint_source(
         tokens: &tokens,
         is_crate_root: crate_root,
     };
-    let summaries = callgraph::build(&[(&file, &anns)], &symbols);
-    let effects_table = effects::build(&[(&file, &state_anns)], &state_model);
-    raw.extend(check_file(&input));
-    raw.extend(check_ast(
-        &input,
-        &file,
-        &symbols,
-        &anns,
-        &summaries,
-        &state_model,
-        &effects_table,
-    ));
+    raw.extend(tables.check(&input, &file, &anns));
     if !rules::span_variants(&tokens).is_empty() {
         raw.extend(span_attribution(
             rel_path,
@@ -624,14 +607,13 @@ pub fn lint_source(
     }
     for (s, used) in suppressions.iter().zip(&used) {
         if let Some((_, _, message)) = stale_message(s, used) {
-            out.push(Finding {
-                rule: "bad-suppression",
-                path: rel_path.to_owned(),
-                line: s.line,
-                col: 1,
+            out.push(Finding::new(
+                "bad-suppression",
+                rel_path,
+                s.line,
+                1,
                 message,
-                fingerprint: 0,
-            });
+            ));
         }
     }
     let spans = ast::collect_item_spans(&file);

@@ -25,6 +25,20 @@ pub struct Finding {
     pub fingerprint: u64,
 }
 
+impl Finding {
+    /// A finding at `path:line:col`, not yet fingerprinted.
+    pub fn new(rule: &'static str, path: &str, line: u32, col: u32, message: String) -> Finding {
+        Finding {
+            rule,
+            path: path.to_owned(),
+            line,
+            col,
+            message,
+            fingerprint: 0,
+        }
+    }
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

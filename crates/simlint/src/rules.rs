@@ -9,7 +9,7 @@
 //! the event loop), not to be sound against adversarial code.
 
 use crate::ast;
-use crate::dataflow::{self, FlowRule};
+use crate::dataflow::{self, Context, FlowFamilies};
 use crate::lexer::{Token, TokenKind};
 use crate::report::Finding;
 use crate::symbols::{Symbols, UnitAnnotations};
@@ -276,14 +276,7 @@ pub fn check_file(input: &FileInput<'_>) -> Vec<Finding> {
 }
 
 fn finding(input: &FileInput<'_>, rule: &'static str, t: &Token, message: String) -> Finding {
-    Finding {
-        rule,
-        path: input.rel_path.to_owned(),
-        line: t.line,
-        col: t.col,
-        message,
-        fingerprint: 0,
-    }
+    Finding::new(rule, input.rel_path, t.line, t.col, message)
 }
 
 /// `no-wall-clock`: `Instant::now(...)` or any `SystemTime` mention.
@@ -823,14 +816,8 @@ fn crate_header(input: &FileInput<'_>, code: &[&Token], out: &mut Vec<Finding>) 
             && matches!(code.get(i + 2), Some(n) if n.is_ident("unsafe_code"))
     });
     if !has {
-        out.push(Finding {
-            rule: "crate-header",
-            path: input.rel_path.to_owned(),
-            line: 1,
-            col: 1,
-            message: "crate root lacks #![forbid(unsafe_code)]".to_owned(),
-            fingerprint: 0,
-        });
+        let msg = "crate root lacks #![forbid(unsafe_code)]".to_owned();
+        out.push(Finding::new("crate-header", input.rel_path, 1, 1, msg));
     }
 }
 
@@ -894,16 +881,10 @@ pub fn span_attribution(
 ) -> Vec<Finding> {
     let variants = span_variants(decl_tokens);
     if variants.is_empty() {
-        return vec![Finding {
-            rule: "span-attribution",
-            path: decl_path.to_owned(),
-            line: 1,
-            col: 1,
-            message: "could not locate `enum SpanKind`; the span-attribution rule is wired to a \
-                      declaration that no longer exists"
-                .to_owned(),
-            fingerprint: 0,
-        }];
+        let msg = "could not locate `enum SpanKind`; the span-attribution rule is wired to a \
+                   declaration that no longer exists"
+            .to_owned();
+        return vec![Finding::new("span-attribution", decl_path, 1, 1, msg)];
     }
     let mut referenced: Vec<String> = Vec::new();
     for (_, tokens) in ref_tokens {
@@ -925,17 +906,13 @@ pub fn span_attribution(
     variants
         .iter()
         .filter(|(v, _)| !referenced.contains(v))
-        .map(|(v, line)| Finding {
-            rule: "span-attribution",
-            path: decl_path.to_owned(),
-            line: *line,
-            col: 1,
-            message: format!(
+        .map(|(v, line)| {
+            let msg = format!(
                 "SpanKind::{v} is declared but never constructed in {}; requests carrying it \
                  would silently fall out of VLRT attribution",
                 sources.join(", ")
-            ),
-            fingerprint: 0,
+            );
+            Finding::new("span-attribution", decl_path, *line, 1, msg)
         })
         .collect()
 }
@@ -954,14 +931,14 @@ pub const MATCH_ENUMS: [&str; 3] = ["SpanKind", "FlagKind", "QueueKind"];
 /// clocks and appends results, but a tainted capture crossing into
 /// `par_runs` is still a bug there); everything else — tests, bins,
 /// shims, the linter itself — is out of scope.
-pub fn flow_families_for(crate_name: &str, role: FileRole) -> Option<dataflow::FlowFamilies> {
+pub fn flow_families_for(crate_name: &str, role: FileRole) -> Option<FlowFamilies> {
     if role != FileRole::Lib {
         return None;
     }
     if SIM_CRATES.contains(&crate_name) {
-        Some(dataflow::FlowFamilies::all())
+        Some(FlowFamilies::all())
     } else if crate_name == "mlb-bench" {
-        Some(dataflow::FlowFamilies::shard_only())
+        Some(FlowFamilies::shard_only())
     } else {
         None
     }
@@ -971,18 +948,15 @@ pub fn flow_families_for(crate_name: &str, role: FileRole) -> Option<dataflow::F
 /// `shard-cross-thread`, `shard-order-agg`, `match-exhaustive`) plus the
 /// write-effect rules (`observer-purity`, `frozen-config`, the
 /// field-sensitive shard upgrades) on one parsed file. Scope comes from
-/// [`flow_families_for`]; `#[cfg(test)]` modules are skipped.
-/// `summaries` carries the workspace-wide taint summaries and
-/// `effects_table` the write-effect summaries, so both analyses track
-/// facts across call boundaries.
+/// [`flow_families_for`]; `#[cfg(test)]` modules are skipped. `cx`
+/// carries the workspace-wide summaries, so both halves of the walk
+/// track facts across call boundaries. Findings come back per function
+/// in walk order, the write findings of the whole file last.
 pub fn check_ast(
     input: &FileInput<'_>,
     file: &ast::File,
-    symbols: &Symbols,
     anns: &UnitAnnotations,
-    summaries: &crate::callgraph::Summaries,
-    state_model: &crate::effects::StateModel,
-    effects_table: &crate::effects::EffectsTable,
+    cx: Context<'_>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(families) = flow_families_for(input.crate_name, input.role) else {
@@ -991,103 +965,26 @@ pub fn check_ast(
     // match-exhaustive is about sim-enum vocabulary, not dataflow: it
     // applies exactly to sim-crate library code, not to the bench crate.
     let sim_enums = input.in_sim_crate();
-    check_ast_items(
-        input,
-        &file.items,
-        symbols,
-        anns,
-        summaries,
-        families,
-        sim_enums,
-        &mut findings,
-    );
-    // The effect rules: purity/frozen-config bind sim-crate library
-    // code; the write-capture upgrade follows the shard family (the
-    // bench harness fans out too).
-    let mut eff = Vec::new();
-    crate::effects::check_file(
-        file,
-        state_model,
-        effects_table,
-        input.in_sim_crate(),
-        families.shard,
-        &mut eff,
-    );
-    for f in eff {
-        findings.push(Finding {
-            rule: f.rule,
-            path: input.rel_path.to_owned(),
-            line: f.line,
-            col: f.col,
-            message: f.message,
-            fingerprint: 0,
-        });
-    }
+    let mut writes = Vec::new();
+    ast::walk_fns(file, &mut |owner, func| {
+        let (flow, write) = dataflow::check_fn(func, owner, anns, cx, families, input.rel_path);
+        findings.extend(flow);
+        writes.extend(write);
+        if sim_enums {
+            match_exhaustive(input, func, cx.symbols, &mut findings);
+        }
+    });
+    findings.extend(writes);
     findings
 }
 
-#[allow(clippy::too_many_arguments)]
-fn check_ast_items(
-    input: &FileInput<'_>,
-    items: &[ast::Item],
-    symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &crate::callgraph::Summaries,
-    families: dataflow::FlowFamilies,
-    sim_enums: bool,
-    out: &mut Vec<Finding>,
-) {
-    for item in items {
-        match &item.kind {
-            ast::ItemKind::Fn(func) => {
-                check_ast_fn(
-                    input, func, symbols, anns, summaries, families, sim_enums, out,
-                );
-            }
-            ast::ItemKind::Impl(imp) => check_ast_items(
-                input, &imp.items, symbols, anns, summaries, families, sim_enums, out,
-            ),
-            ast::ItemKind::Mod(m) if !m.cfg_test => {
-                check_ast_items(
-                    input, &m.items, symbols, anns, summaries, families, sim_enums, out,
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_ast_fn(
+/// `match-exhaustive` over one function body (nested items included).
+fn match_exhaustive(
     input: &FileInput<'_>,
     func: &ast::Func,
     symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &crate::callgraph::Summaries,
-    families: dataflow::FlowFamilies,
-    sim_enums: bool,
     out: &mut Vec<Finding>,
 ) {
-    let mut flow = Vec::new();
-    dataflow::analyze_fn(func, symbols, anns, summaries, families, &mut flow);
-    for f in flow {
-        out.push(Finding {
-            rule: match f.rule {
-                FlowRule::Taint => "nondet-taint",
-                FlowRule::Unit => "time-unit",
-                FlowRule::CrossThread => "shard-cross-thread",
-                FlowRule::OrderAgg => "shard-order-agg",
-            },
-            path: input.rel_path.to_owned(),
-            line: f.line,
-            col: f.col,
-            message: f.message,
-            fingerprint: 0,
-        });
-    }
-    if !sim_enums {
-        return;
-    }
     let Some(body) = &func.body else { return };
     ast::walk_block_exprs(body, &mut |e| {
         let ast::ExprKind::Match { arms, .. } = &e.kind else {
@@ -1098,17 +995,18 @@ fn check_ast_fn(
         };
         for arm in arms {
             if arm.pat.is_catch_all() && arm.guard.is_none() {
-                out.push(Finding {
-                    rule: "match-exhaustive",
-                    path: input.rel_path.to_owned(),
-                    line: arm.span.line,
-                    col: arm.span.col,
-                    message: format!(
-                        "match over `{enum_name}` hides variants behind a catch-all arm; \
-                         name every variant so adding one forces an explicit decision here"
-                    ),
-                    fingerprint: 0,
-                });
+                let msg = format!(
+                    "match over `{enum_name}` hides variants behind a catch-all arm; \
+                     name every variant so adding one forces an explicit decision here"
+                );
+                let (line, col) = (arm.span.line, arm.span.col);
+                out.push(Finding::new(
+                    "match-exhaustive",
+                    input.rel_path,
+                    line,
+                    col,
+                    msg,
+                ));
             }
         }
     });

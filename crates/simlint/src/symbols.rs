@@ -73,45 +73,21 @@ pub const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 /// declaration on the same line or the line below.
 pub type UnitAnnotations = BTreeMap<u32, Unit>;
 
+/// Malformed annotations, as `(line, col, message)`.
+pub type Malformed = Vec<(u32, u32, String)>;
+
 /// The marker that introduces a unit annotation inside a comment.
 pub const UNIT_MARKER: &str = "simlint::unit";
 
 /// Extracts `// simlint::unit(us)` annotations from a file's comment
 /// tokens. Malformed arguments are reported as `(line, col, message)`
 /// errors so a typo'd unit cannot silently disable checking.
-pub fn parse_unit_annotations(
-    tokens: &[crate::lexer::Token],
-) -> (UnitAnnotations, Vec<(u32, u32, String)>) {
-    let mut anns = BTreeMap::new();
-    let mut bad = Vec::new();
-    for t in tokens.iter().filter(|t| t.is_comment()) {
-        let trimmed = t.text.trim_start();
-        let Some(rest) = trimmed.strip_prefix(UNIT_MARKER) else {
-            continue;
-        };
-        // `simlint::unit(us)`, nothing else on the marker.
-        let arg = rest
-            .trim_start()
-            .strip_prefix('(')
-            .and_then(|r| r.split_once(')'))
-            .map(|(inner, _)| inner);
-        match arg.and_then(Unit::from_annotation) {
-            Some(u) => {
-                anns.insert(t.line, u);
-            }
-            None => bad.push((
-                t.line,
-                t.col,
-                "malformed simlint::unit annotation (expected `simlint::unit(us|ms|secs)`)"
-                    .to_owned(),
-            )),
-        }
-    }
-    (anns, bad)
+pub fn parse_unit_annotations(tokens: &[crate::lexer::Token]) -> (UnitAnnotations, Malformed) {
+    parse_annotations(tokens, UNIT_MARKER, "us|ms|secs", Unit::from_annotation)
 }
 
 /// The marker that introduces a sim/observer state classification
-/// inside a comment (consumed by the write-effect engine).
+/// inside a comment (consumed by the write-effect analysis).
 pub const STATE_MARKER: &str = "simlint::state";
 
 /// Extracts `// simlint::state(sim|observer)` annotations from a
@@ -120,45 +96,63 @@ pub const STATE_MARKER: &str = "simlint::state";
 /// typo'd class cannot silently reclassify state.
 pub fn parse_state_annotations(
     tokens: &[crate::lexer::Token],
-) -> (
-    crate::effects::StateAnnotations,
-    Vec<(u32, u32, String)>,
-) {
+) -> (crate::effects::StateAnnotations, Vec<(u32, u32, String)>) {
+    parse_annotations(
+        tokens,
+        STATE_MARKER,
+        "sim|observer",
+        crate::effects::StateClass::from_annotation,
+    )
+}
+
+/// Extracts `// <marker>(<arg>)` annotations, keyed by the comment's
+/// line; an argument `parse` rejects is reported, naming `choices`.
+fn parse_annotations<T>(
+    tokens: &[crate::lexer::Token],
+    marker: &str,
+    choices: &str,
+    parse: fn(&str) -> Option<T>,
+) -> (BTreeMap<u32, T>, Malformed) {
     let mut anns = BTreeMap::new();
     let mut bad = Vec::new();
     for t in tokens.iter().filter(|t| t.is_comment()) {
         let trimmed = t.text.trim_start();
-        let Some(rest) = trimmed.strip_prefix(STATE_MARKER) else {
+        let Some(rest) = trimmed.strip_prefix(marker) else {
             continue;
         };
+        // `<marker>(<arg>)`, nothing else on the marker.
         let arg = rest
             .trim_start()
             .strip_prefix('(')
             .and_then(|r| r.split_once(')'))
             .map(|(inner, _)| inner);
-        match arg.and_then(crate::effects::StateClass::from_annotation) {
-            Some(c) => {
-                anns.insert(t.line, c);
+        match arg.and_then(parse) {
+            Some(v) => {
+                anns.insert(t.line, v);
             }
             None => bad.push((
                 t.line,
                 t.col,
-                "malformed simlint::state annotation (expected `simlint::state(sim|observer)`)"
-                    .to_owned(),
+                format!("malformed {marker} annotation (expected `{marker}({choices})`)"),
             )),
         }
     }
     (anns, bad)
 }
 
+/// The annotation covering a declaration on `line`: one on the same
+/// line or the line above.
+pub fn annotation_at<T: Copy>(anns: &BTreeMap<u32, T>, line: u32) -> Option<T> {
+    anns.get(&line)
+        .or_else(|| line.checked_sub(1).and_then(|l| anns.get(&l)))
+        .copied()
+}
+
 /// Looks up the declared unit for a name defined at `line`: an explicit
 /// annotation on the same or the previous line wins over the name's
 /// suffix.
 pub fn declared_unit(name: &str, line: u32, anns: &UnitAnnotations) -> Option<Unit> {
-    anns.get(&line)
-        .or_else(|| line.checked_sub(1).and_then(|l| anns.get(&l)))
-        .copied()
-        .or_else(|| unit_from_name(name))
+    annotation_at(anns, line).or_else(|| unit_from_name(name))
 }
 
 /// Workspace-wide, name-keyed symbol facts.

@@ -111,13 +111,6 @@ impl Workspace {
         })
     }
 
-    /// The files belonging to `crate_name`.
-    pub fn files_of<'a>(&'a self, crate_name: &'a str) -> impl Iterator<Item = &'a SourceFile> {
-        self.files
-            .iter()
-            .filter(move |f| f.crate_name == crate_name)
-    }
-
     /// Looks up a file by workspace-relative path.
     pub fn file(&self, rel_path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel_path == rel_path)
