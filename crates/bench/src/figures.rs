@@ -1156,9 +1156,9 @@ mod tests {
         let mut t = Telemetry::new(1, 2, SimDuration::from_millis(50));
         for i in 0..10u64 {
             let at = SimTime::from_millis(i * 10);
-            t.record_assignment(at, 0, 0);
+            t.distribution[0][0].incr(at);
         }
-        t.record_assignment(SimTime::from_millis(5), 0, 1);
+        t.distribution[0][1].incr(SimTime::from_millis(5));
         let (overall, max_single) = assignment_share(&t, 0, 0, 2);
         assert!(overall > 80.0 && overall < 95.0);
         assert!(max_single >= overall);

@@ -14,9 +14,9 @@
 //!
 //! * **iowait-saturated** — the window's iowait delta is positive (a
 //!   freeze overlapped it);
-//! * **queue-spike** — the sampled queue depth crossed the configured
-//!   threshold (the queuing amplification the paper traces from a
-//!   millibottleneck to upstream tiers);
+//! * **queue-spike** — the sampled queue depth crossed
+//!   [`QUEUE_SPIKE_THRESHOLD`] (the queuing amplification the paper
+//!   traces from a millibottleneck to upstream tiers);
 //! * **frozen-backend** — iowait positive *and* no busy time *and* work
 //!   queued: the server sat fully stalled with requests waiting.
 //!
@@ -31,29 +31,17 @@ use mlb_simkernel::time::SimDuration;
 
 use crate::spans::{StallKind, StallWindow};
 
-/// Tunables for the online detector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Queue depth at or above which a window is flagged `QueueSpike`.
-    pub queue_spike_threshold: u64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        // Roughly 1.5–2× the per-tier service capacity in the paper
-        // configs; deep enough that steady-state queues stay quiet.
-        DetectorConfig {
-            queue_spike_threshold: 100,
-        }
-    }
-}
+/// Queue depth at or above which a window is flagged `QueueSpike`:
+/// roughly 1.5–2× the per-tier service capacity in the paper configs,
+/// deep enough that steady-state queues stay quiet.
+pub const QUEUE_SPIKE_THRESHOLD: u64 = 100;
 
 /// Which in-stream signal fired for a `(server, window)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlagKind {
     /// Positive iowait delta: a freeze overlapped the window.
     IowaitSaturated,
-    /// Sampled queue depth crossed the configured threshold.
+    /// Sampled queue depth crossed [`QUEUE_SPIKE_THRESHOLD`].
     QueueSpike,
     /// Frozen with zero busy time and work queued — a fully stalled
     /// backend, the paper's worst case.
@@ -111,7 +99,6 @@ impl ServerState {
 #[derive(Debug)]
 pub struct MillibottleneckDetector {
     window: SimDuration,
-    cfg: DetectorConfig,
     labels: Vec<String>,
     state: Vec<ServerState>,
     stalls: Vec<StallWindow>,
@@ -126,12 +113,11 @@ impl MillibottleneckDetector {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(window: SimDuration, labels: Vec<String>, cfg: DetectorConfig) -> Self {
+    pub fn new(window: SimDuration, labels: Vec<String>) -> Self {
         assert!(window.as_micros() > 0, "detector window must be positive");
         let state = labels.iter().map(|_| ServerState::new()).collect();
         MillibottleneckDetector {
             window,
-            cfg,
             labels,
             state,
             stalls: Vec::new(),
@@ -143,16 +129,6 @@ impl MillibottleneckDetector {
     /// The observation window width.
     pub fn window(&self) -> SimDuration {
         self.window
-    }
-
-    /// Server label for a slot.
-    pub fn label(&self, server: usize) -> &str {
-        &self.labels[server]
-    }
-
-    /// Number of observed servers.
-    pub fn server_count(&self) -> usize {
-        self.labels.len()
     }
 
     /// Highest window ordinal observed so far.
@@ -186,7 +162,7 @@ impl MillibottleneckDetector {
             .is_some_and(|prev| dirty_bytes < prev);
         self.state[server].prev_dirty = Some(dirty_bytes);
 
-        if queue_depth >= self.cfg.queue_spike_threshold {
+        if queue_depth >= QUEUE_SPIKE_THRESHOLD {
             self.flags.push(DetectorFlag {
                 server,
                 window,
@@ -319,7 +295,6 @@ mod tests {
         MillibottleneckDetector::new(
             SimDuration::from_millis(50),
             vec!["tomcat1".to_owned(), "mysql".to_owned()],
-            DetectorConfig::default(),
         )
     }
 

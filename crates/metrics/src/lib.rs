@@ -45,7 +45,7 @@ pub mod summary;
 
 pub use ascii::{Align, Table};
 pub use csv::CsvTable;
-pub use detector::{DetectorConfig, DetectorFlag, FlagKind, MillibottleneckDetector};
+pub use detector::{DetectorFlag, FlagKind, MillibottleneckDetector, QUEUE_SPIKE_THRESHOLD};
 pub use heatmap::AttributionHeatmap;
 pub use histogram::ResponseTimeHistogram;
 pub use registry::{

@@ -167,7 +167,7 @@ impl Segment {
         Segment::Response,
     ];
 
-    /// Human label (matches `PhaseBreakdown::labels`).
+    /// Human label (also `PhaseBreakdown::render`'s row label).
     pub fn label(self) -> &'static str {
         match self {
             Segment::RetransmitWait => "retransmit wait",

@@ -2,10 +2,13 @@
 //! online millibottleneck detector.
 //!
 //! [`LiveMetrics`] bundles one [`Registry`] (every layer's instruments,
-//! registered by name at construction in a fixed order) with one
-//! [`MillibottleneckDetector`] fed integer per-window deltas at each
-//! monitor tick. Like tracing, the subsystem is **observational** by
-//! default: it never schedules events or perturbs any random stream, so
+//! registered by name at construction in a fixed order, aggregated into
+//! [`REGISTRY_WINDOW`]s) with one [`MillibottleneckDetector`] fed integer
+//! per-window deltas at each monitor tick. `NTierSystem` bumps the
+//! request counters from its one per-transition observer call and hands
+//! `LiveMetrics::observe_tick` the same per-server samples `Telemetry`
+//! gets. Like tracing, the subsystem is **observational** by default:
+//! it never schedules events or perturbs any random stream, so
 //! enabling it leaves a run's trace digests byte-identical — an
 //! invariant the observability integration tests assert. The one opt-in
 //! exception is `SystemConfig::detector_feedback`, which routes freshly
@@ -25,60 +28,48 @@
 //! | per server | `<server>.queue_depth`, `<server>.dirty_bytes`, `<server>.iowait_us` | gauges |
 //! | per backend | `lb.tomcat<i>` (policy lb_value) | gauge |
 
-use mlb_metrics::detector::{DetectorConfig, DetectorFlag, MillibottleneckDetector};
+use mlb_metrics::detector::{DetectorFlag, MillibottleneckDetector};
 use mlb_metrics::registry::{JsonlSink, MetricId, Registry};
 use mlb_metrics::spans::StallWindow;
 use mlb_simkernel::time::{SimDuration, SimTime};
 
+use crate::telemetry::ServerSample;
+
+/// Registry aggregation window. The paper's monitoring resolution
+/// argument (millibottlenecks last 10s–100s of ms) wants sub-50 ms
+/// windows.
+pub const REGISTRY_WINDOW: SimDuration = SimDuration::from_millis(25);
+
 /// Configuration of the streaming telemetry subsystem.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Master switch. When off, the system carries no registry and every
     /// hook is a single `Option` check.
     pub enabled: bool,
-    /// Registry aggregation window. The paper's monitoring resolution
-    /// argument (millibottlenecks last 10s–100s of ms) wants sub-50 ms
-    /// windows; [`MetricsConfig::enabled_default`] uses 25 ms.
-    pub window: SimDuration,
-    /// Queue depth at or above which the detector flags a queue spike.
-    pub queue_spike_threshold: u64,
 }
 
 impl MetricsConfig {
     /// Telemetry off (the default).
     pub fn disabled() -> Self {
-        MetricsConfig {
-            enabled: false,
-            window: SimDuration::from_millis(25),
-            queue_spike_threshold: 100,
-        }
+        MetricsConfig { enabled: false }
     }
 
-    /// Telemetry on with a 25 ms registry window.
+    /// Telemetry on, aggregated into [`REGISTRY_WINDOW`]s.
     pub fn enabled_default() -> Self {
-        MetricsConfig {
-            enabled: true,
-            ..MetricsConfig::disabled()
-        }
-    }
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig::disabled()
+        MetricsConfig { enabled: true }
     }
 }
 
 /// Instrument handles, registered once at construction.
 #[derive(Debug)]
-struct Instruments {
+pub(crate) struct Instruments {
     events: MetricId,
     event_queue_depth: MetricId,
-    drops: MetricId,
-    retransmits: MetricId,
-    completions: MetricId,
-    failures: MetricId,
-    rt_us: MetricId,
+    pub(crate) drops: MetricId,
+    pub(crate) retransmits: MetricId,
+    pub(crate) completions: MetricId,
+    pub(crate) failures: MetricId,
+    pub(crate) rt_us: MetricId,
     /// Per server slot: queue depth, dirty bytes, iowait delta.
     queue: Vec<MetricId>,
     dirty: Vec<MetricId>,
@@ -90,14 +81,9 @@ struct Instruments {
 /// The live telemetry bundle carried by a running `NTierSystem`.
 #[derive(Debug)]
 pub struct LiveMetrics {
-    registry: Registry,
+    pub(crate) registry: Registry,
     detector: MillibottleneckDetector,
-    ids: Instruments,
-    /// Monitor tick interval (= detector window width).
-    interval: SimDuration,
-    /// Previous cumulative (busy_us, iowait_us) per server slot, for
-    /// integer window deltas.
-    last_cpu: Vec<(u64, u64)>,
+    pub(crate) ids: Instruments,
     /// Drain cursor into the detector's flag log for the feedback path:
     /// flags at indices `>= flag_cursor` have not been consumed yet.
     flag_cursor: usize,
@@ -107,7 +93,7 @@ impl LiveMetrics {
     /// Builds the registry + detector for an `apaches`×`tomcats`×1
     /// topology sampled every `interval` (the system's
     /// `sample_interval`).
-    pub fn new(cfg: &MetricsConfig, apaches: usize, tomcats: usize, interval: SimDuration) -> Self {
+    pub fn new(apaches: usize, tomcats: usize, interval: SimDuration) -> Self {
         let mut labels: Vec<String> = Vec::with_capacity(apaches + tomcats + 1);
         for i in 0..apaches {
             labels.push(format!("apache{}", i + 1));
@@ -117,7 +103,7 @@ impl LiveMetrics {
         }
         labels.push("mysql".to_owned());
 
-        let mut registry = Registry::new(cfg.window);
+        let mut registry = Registry::new(REGISTRY_WINDOW);
         let ids = Instruments {
             events: registry.register_counter("sim.events"),
             event_queue_depth: registry.register_gauge("sim.event_queue_depth"),
@@ -142,20 +128,10 @@ impl LiveMetrics {
                 .map(|i| registry.register_gauge(&format!("lb.tomcat{}", i + 1)))
                 .collect(),
         };
-        let detector = MillibottleneckDetector::new(
-            interval,
-            labels,
-            DetectorConfig {
-                queue_spike_threshold: cfg.queue_spike_threshold,
-            },
-        );
-        let server_count = detector.server_count();
         LiveMetrics {
             registry,
-            detector,
+            detector: MillibottleneckDetector::new(interval, labels),
             ids,
-            interval,
-            last_cpu: vec![(0, 0); server_count],
             flag_cursor: 0,
         }
     }
@@ -166,72 +142,30 @@ impl LiveMetrics {
         self.registry.incr(self.ids.events, now, 1);
     }
 
-    /// An accept-queue drop happened.
-    pub fn on_drop(&mut self, now: SimTime) {
-        self.registry.incr(self.ids.drops, now, 1);
-    }
-
-    /// A TCP retransmission was scheduled.
-    pub fn on_retransmit(&mut self, now: SimTime) {
-        self.registry.incr(self.ids.retransmits, now, 1);
-    }
-
-    /// A request completed with response time `rt_us`.
-    pub fn on_completion(&mut self, now: SimTime, rt_us: u64) {
-        self.registry.incr(self.ids.completions, now, 1);
-        self.registry.observe(self.ids.rt_us, now, rt_us);
-    }
-
-    /// A request terminally failed.
-    pub fn on_failure(&mut self, now: SimTime) {
-        self.registry.incr(self.ids.failures, now, 1);
-    }
-
-    /// Samples the event-loop depth at a monitor tick.
-    pub fn sample_event_queue(&mut self, now: SimTime, pending: usize) {
-        self.registry
-            .gauge_set(self.ids.event_queue_depth, now, pending as u64);
-    }
-
-    /// Samples one server at a monitor tick: cumulative core-µs counters
-    /// (differenced internally), queue depth and dirty bytes — and feeds
-    /// the detector the closed window.
-    pub fn sample_server(
+    /// Records one monitor tick: the event-loop depth `pending`, the
+    /// per-server `samples` in slot order (each also feeds the detector
+    /// the window `window` the tick closed) and Apache 1's lb_value per
+    /// Tomcat.
+    pub(crate) fn observe_tick(
         &mut self,
         now: SimTime,
-        slot: usize,
-        busy_cum_us: u64,
-        iowait_cum_us: u64,
-        queue_depth: u64,
-        dirty_bytes: u64,
+        window: u64,
+        pending: usize,
+        samples: &[ServerSample],
+        lb_values: &[u64],
     ) {
-        let (last_busy, last_iowait) = self.last_cpu[slot];
-        let busy_delta = busy_cum_us.saturating_sub(last_busy);
-        let iowait_delta = iowait_cum_us.saturating_sub(last_iowait);
-        self.last_cpu[slot] = (busy_cum_us, iowait_cum_us);
-
-        self.registry
-            .gauge_set(self.ids.queue[slot], now, queue_depth);
-        self.registry
-            .gauge_set(self.ids.dirty[slot], now, dirty_bytes);
-        self.registry
-            .gauge_set(self.ids.iowait[slot], now, iowait_delta);
-
-        // The tick at t = k·interval closes window k−1.
-        let window = (now.as_micros() / self.interval.as_micros()).saturating_sub(1);
-        self.detector.observe(
-            window,
-            slot,
-            iowait_delta,
-            busy_delta,
-            queue_depth,
-            dirty_bytes,
-        );
-    }
-
-    /// Samples one backend's policy lb_value at a monitor tick.
-    pub fn sample_lb(&mut self, now: SimTime, backend: usize, lb_value: u64) {
-        self.registry.gauge_set(self.ids.lb[backend], now, lb_value);
+        let reg = &mut self.registry;
+        reg.gauge_set(self.ids.event_queue_depth, now, pending as u64);
+        for (slot, s) in samples.iter().enumerate() {
+            reg.gauge_set(self.ids.queue[slot], now, s.queue);
+            reg.gauge_set(self.ids.dirty[slot], now, s.dirty);
+            reg.gauge_set(self.ids.iowait[slot], now, s.iowait_us);
+            self.detector
+                .observe(window, slot, s.iowait_us, s.busy_us, s.queue, s.dirty);
+        }
+        for (&id, &v) in self.ids.lb.iter().zip(lb_values) {
+            reg.gauge_set(id, now, v);
+        }
     }
 
     /// The registry (e.g. for incremental draining mid-run).
@@ -267,7 +201,7 @@ impl LiveMetrics {
             jsonl: sink.into_string(),
             stalls: self.detector.stalls().to_vec(),
             flags: self.detector.flags().to_vec(),
-            window: self.interval,
+            window: self.detector.window(),
             last_window: self.detector.last_window(),
         }
     }
@@ -303,14 +237,29 @@ mod tests {
     use super::*;
     use mlb_metrics::detector::FlagKind;
 
+    fn live(apaches: usize, tomcats: usize) -> LiveMetrics {
+        LiveMetrics::new(apaches, tomcats, SimDuration::from_millis(50))
+    }
+
+    /// Advances slot 1 (tomcat1 of a 1×1 topology) to the cumulative
+    /// counters read at tick `k`, then records the tick.
+    fn tick(
+        lm: &mut LiveMetrics,
+        s: &mut [ServerSample],
+        k: u64,
+        cum: (u64, u64),
+        queue: u64,
+        dirty: u64,
+    ) {
+        s[1].advance_cpu(cum.0, cum.1);
+        s[1].queue = queue;
+        s[1].dirty = dirty;
+        lm.observe_tick(SimTime::from_millis(50 * k), k - 1, 0, s, &[0]);
+    }
+
     #[test]
     fn registration_order_is_stable_and_layers_are_covered() {
-        let lm = LiveMetrics::new(
-            &MetricsConfig::enabled_default(),
-            2,
-            2,
-            SimDuration::from_millis(50),
-        );
+        let lm = live(2, 2);
         assert_eq!(lm.registry.name(lm.ids.events), "sim.events");
         assert_eq!(lm.registry.name(lm.ids.queue[0]), "apache1.queue_depth");
         assert_eq!(lm.registry.name(lm.ids.dirty[2]), "tomcat1.dirty_bytes");
@@ -322,18 +271,13 @@ mod tests {
 
     #[test]
     fn sample_server_differences_cumulative_counters() {
-        let mut lm = LiveMetrics::new(
-            &MetricsConfig::enabled_default(),
-            1,
-            1,
-            SimDuration::from_millis(50),
-        );
-        let tick = SimTime::from_millis(50);
+        let mut lm = live(1, 1);
+        let mut s = [ServerSample::default(); 3];
         // Window 0 for tomcat1 (slot 1): 30 ms of iowait, frozen, queued.
-        lm.sample_server(tick, 1, 0, 30_000, 5, 1_000);
-        let tick2 = SimTime::from_millis(100);
-        // Window 1: thawed, dirty dropped (flush completed).
-        lm.sample_server(tick2, 1, 20_000, 30_000, 0, 100);
+        tick(&mut lm, &mut s, 1, (0, 30_000), 5, 1_000);
+        // Window 1: thawed (cumulative iowait unchanged, so its delta is
+        // zero), dirty dropped (flush completed).
+        tick(&mut lm, &mut s, 2, (20_000, 30_000), 0, 100);
         let report = lm.into_report();
         assert_eq!(report.stalls.len(), 1);
         assert_eq!(report.stalls[0].server, "tomcat1");
@@ -347,21 +291,17 @@ mod tests {
 
     #[test]
     fn drain_new_flags_returns_each_flag_exactly_once() {
-        let mut lm = LiveMetrics::new(
-            &MetricsConfig::enabled_default(),
-            1,
-            1,
-            SimDuration::from_millis(50),
-        );
+        let mut lm = live(1, 1);
+        let mut s = [ServerSample::default(); 3];
         assert!(lm.drain_new_flags().is_empty());
         // Window 0 for tomcat1 (slot 1): saturated iowait and a queue.
-        lm.sample_server(SimTime::from_millis(50), 1, 0, 30_000, 5, 1_000);
+        tick(&mut lm, &mut s, 1, (0, 30_000), 5, 1_000);
         let fresh = lm.drain_new_flags();
         assert!(!fresh.is_empty());
         assert!(fresh.iter().all(|f| f.window == 0 && f.server == 1));
         // Nothing new until another window closes with activity.
         assert!(lm.drain_new_flags().is_empty());
-        lm.sample_server(SimTime::from_millis(100), 1, 0, 60_000, 7, 2_000);
+        tick(&mut lm, &mut s, 2, (0, 60_000), 7, 2_000);
         let fresh = lm.drain_new_flags();
         assert!(fresh.iter().all(|f| f.window == 1));
         assert!(lm.drain_new_flags().is_empty());

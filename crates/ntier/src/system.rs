@@ -27,7 +27,8 @@ use std::fmt;
 use mlb_core::types::BackendId;
 use mlb_core::{Balancer, EndpointAdvice};
 use mlb_metrics::detector::MillibottleneckDetector;
-use mlb_metrics::spans::{StallKind, TraceLog};
+use mlb_metrics::spans::{SpanKind, StallKind, TraceLog};
+use mlb_metrics::summary::VLRT_THRESHOLD;
 use mlb_netmodel::accept_queue::Offer;
 use mlb_netmodel::pool::Acquire;
 use mlb_osmodel::cpu::{CompletionKey, CompletionOutcome, JobId, StartedBurst};
@@ -45,7 +46,7 @@ use crate::metrics::{LiveMetrics, MetricsReport};
 use crate::request::{Phase, RequestId, RequestState};
 use crate::servers::{ApacheServer, MySqlServer, TomcatServer};
 use crate::slab::RequestArena;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{closed_window, ServerSample, Telemetry};
 use crate::trace::Tracer;
 
 /// Error returned when a [`SystemConfig`] fails validation.
@@ -86,6 +87,9 @@ pub struct NTierSystem {
     /// Streaming registry + online detector, when `cfg.metrics` is on.
     /// Observational-only, like the tracer.
     metrics: Option<LiveMetrics>,
+    /// Each server's state at the latest monitor tick, in slot order
+    /// (apaches, tomcats, mysql): the one sample every observer reads.
+    samples: Vec<ServerSample>,
     next_request: u64,
     horizon: SimTime,
     mix_rng: Xoshiro256StarStar,
@@ -134,7 +138,7 @@ impl NTierSystem {
         let metrics = cfg
             .metrics
             .enabled
-            .then(|| LiveMetrics::new(&cfg.metrics, cfg.apaches, cfg.tomcats, cfg.sample_interval));
+            .then(|| LiveMetrics::new(cfg.apaches, cfg.tomcats, cfg.sample_interval));
         Ok(NTierSystem {
             horizon: SimTime::ZERO + cfg.duration,
             mix_rng: seeds.stream("mix"),
@@ -156,6 +160,7 @@ impl NTierSystem {
             telemetry,
             tracer,
             metrics,
+            samples: vec![ServerSample::default(); cfg.apaches + cfg.tomcats + 1],
             next_request: 0,
             cfg,
         })
@@ -374,6 +379,81 @@ impl NTierSystem {
             .expect("live request retired twice")
     }
 
+    // ---- observation ---------------------------------------------------
+
+    /// Reports one transition of request `id` to every observer. This
+    /// one match decides what each layer counts; the tracer then gets
+    /// the record itself, and finalizes the trace on `Completed` or
+    /// `Failed`.
+    fn observe(&mut self, now: SimTime, id: RequestId, kind: SpanKind) {
+        let t = &mut self.telemetry;
+        let live = self.metrics.as_mut();
+        match kind {
+            SpanKind::Dropped { .. } => {
+                t.drops += 1;
+                t.drops_per_window.incr(now);
+                if let Some(m) = live {
+                    m.registry.incr(m.ids.drops, now, 1);
+                }
+            }
+            SpanKind::RetransmitScheduled { .. } => {
+                t.retransmits += 1;
+                if let Some(m) = live {
+                    m.registry.incr(m.ids.retransmits, now, 1);
+                }
+            }
+            SpanKind::EndpointAcquired { backend, .. } => {
+                let apache = Self::live(&self.requests, id).apache;
+                t.distribution[apache][usize::from(backend)].incr(now);
+            }
+            SpanKind::Completed { rt } => {
+                t.response.record(rt);
+                t.histogram.record(rt);
+                t.rt_trace.record(now, rt.as_millis_f64());
+                if rt > VLRT_THRESHOLD {
+                    t.vlrt_per_window.incr(now);
+                }
+                if let Some(m) = live {
+                    m.registry.incr(m.ids.completions, now, 1);
+                    m.registry.observe(m.ids.rt_us, now, rt.as_micros());
+                }
+            }
+            SpanKind::Failed { .. } => {
+                t.failed_requests += 1;
+                // The RTO schedule can only run out before an Apache
+                // worker admits the request; an admitted request fails
+                // only by exhausting its routing budget.
+                if Self::live(&self.requests, id).admitted_at.is_some() {
+                    t.routing_failures += 1;
+                }
+                if let Some(m) = live {
+                    m.registry.incr(m.ids.failures, now, 1);
+                }
+            }
+            SpanKind::Issued { .. }
+            | SpanKind::Arrived { .. }
+            | SpanKind::Admitted
+            | SpanKind::RoutingStarted
+            | SpanKind::EndpointBusy { .. }
+            | SpanKind::EndpointGaveUp { .. }
+            | SpanKind::NoCandidate { .. }
+            | SpanKind::ProbeSent { .. }
+            | SpanKind::ProbeTimedOut { .. }
+            | SpanKind::ArrivedBackend { .. }
+            | SpanKind::BackendStarted
+            | SpanKind::DbDispatched { .. }
+            | SpanKind::Responding
+            | SpanKind::RepliedFrontend => {}
+        }
+        self.tracer.record_span(id, now, kind);
+    }
+
+    /// A millibottleneck froze `server` over `[start, end]`.
+    fn stall(&mut self, server: ServerRef, kind: StallKind, start: SimTime, end: SimTime) {
+        self.telemetry.millibottlenecks += 1;
+        self.tracer.stall(server, kind, start, end);
+    }
+
     // ---- helpers -------------------------------------------------------
 
     fn link_delay(&mut self) -> SimDuration {
@@ -419,9 +499,7 @@ impl NTierSystem {
             return;
         }
         let flush = machine.begin_flush(now, trigger);
-        self.telemetry.millibottlenecks += 1;
-        self.tracer
-            .stall(server, StallKind::Flush, now, now + flush.duration);
+        self.stall(server, StallKind::Flush, now, now + flush.duration);
         sched.at(now + flush.duration, Event::FlushEnd { server });
     }
 
@@ -452,13 +530,9 @@ impl NTierSystem {
         id: RequestId,
         holds_worker: bool,
     ) {
+        let elapsed = now.saturating_since(Self::live(&self.requests, id).first_issued);
+        self.observe(now, id, SpanKind::Failed { elapsed });
         let r = Self::remove_live(&mut self.requests, id);
-        self.tracer
-            .failed(id, now, now.saturating_since(r.first_issued));
-        self.telemetry.failed_requests += 1;
-        if let Some(m) = self.metrics.as_mut() {
-            m.on_failure(now);
-        }
         if holds_worker {
             self.release_worker_and_admit(now, sched, r.apache);
         }
@@ -492,7 +566,7 @@ impl NTierSystem {
             r.admitted_at = Some(now);
             self.cfg.mix.get(r.interaction).apache_cost
         };
-        self.tracer.admitted(id, now);
+        self.observe(now, id, SpanKind::Admitted);
         self.apaches[a].claim_worker();
         let started = self.apaches[a].machine.cpu.submit(now, JobId(id.0), cost);
         Self::schedule_started(sched, ServerRef::Apache(a), started);
@@ -510,7 +584,7 @@ impl NTierSystem {
             let r = Self::live(&self.requests, id);
             self.cfg.mix.get(r.interaction).tomcat_cost
         };
-        self.tracer.backend_started(id, now);
+        self.observe(now, id, SpanKind::BackendStarted);
         self.tomcats[t].claim_thread();
         let started = self.tomcats[t].machine.cpu.submit(now, JobId(id.0), cost);
         Self::schedule_started(sched, ServerRef::Tomcat(t), started);
@@ -533,7 +607,8 @@ impl NTierSystem {
         let apache = self.cfg.population.front_end_of(client);
         let r = RequestState::new(id, client, interaction, now, apache, self.cfg.tomcats);
         self.requests.insert(id.0, r);
-        self.tracer.issued(id, now, client.0 as u64, apache);
+        let (client, apache) = (client.0 as u64, apache as u16);
+        self.observe(now, id, SpanKind::Issued { client, apache });
         let d = self.link_delay();
         sched.at(now + d, Event::ArriveApache { request: id });
     }
@@ -555,7 +630,7 @@ impl NTierSystem {
         r.arrived_at = Some(now);
         let a = r.apache;
         let attempt = r.retransmit.attempts() as u32;
-        self.tracer.arrived(id, now, attempt);
+        self.observe(now, id, SpanKind::Arrived { attempt });
         if self.apaches[a].has_free_worker() {
             self.start_apache_work(now, sched, a, id);
             return;
@@ -563,23 +638,15 @@ impl NTierSystem {
         match self.apaches[a].accept_queue.offer(id) {
             Offer::Accepted => {}
             Offer::Dropped => {
-                self.telemetry.record_drop(now);
-                self.tracer.dropped(id, now, attempt);
-                if let Some(m) = self.metrics.as_mut() {
-                    m.on_drop(now);
-                }
+                self.observe(now, id, SpanKind::Dropped { attempt });
                 let rto = Self::live_mut(&mut self.requests, id)
                     .retransmit
                     .on_drop(&self.cfg.rto);
                 match rto {
-                    Some(delay) => {
-                        self.telemetry.retransmits += 1;
-                        if let Some(m) = self.metrics.as_mut() {
-                            m.on_retransmit(now);
-                        }
-                        self.tracer
-                            .retransmit_scheduled(id, now, attempt + 1, delay);
-                        sched.at(now + delay, Event::ClientRetransmit { request: id });
+                    Some(wait) => {
+                        let attempt = attempt + 1;
+                        self.observe(now, id, SpanKind::RetransmitScheduled { attempt, wait });
+                        sched.at(now + wait, Event::ClientRetransmit { request: id });
                     }
                     None => self.fail_request(now, sched, id, false),
                 }
@@ -603,7 +670,7 @@ impl NTierSystem {
                     r.phase = Phase::Routing;
                     r.routing_started = Some(now);
                     r.routed_at = Some(now);
-                    self.tracer.routing_started(id, now);
+                    self.observe(now, id, SpanKind::RoutingStarted);
                 }
                 sched.immediately(Event::RouteRequest { request: id });
             }
@@ -620,7 +687,6 @@ impl NTierSystem {
         // bounds pathological configurations).
         let started = r.routing_started.unwrap_or(now);
         if now.saturating_since(started) > self.cfg.routing_budget {
-            self.telemetry.routing_failures += 1;
             self.fail_request(now, sched, id, true);
             return;
         }
@@ -650,7 +716,7 @@ impl NTierSystem {
                 // Everyone Busy/Error/excluded: wait one retry_sleep with a
                 // fresh view, like a worker spinning in the selection loop.
                 let sleep = self.cfg.balancer.retry_sleep;
-                self.tracer.no_candidate(id, now, sleep);
+                self.observe(now, id, SpanKind::NoCandidate { sleep });
                 if let Some(r) = self.requests.get_mut(id.0) {
                     r.reset_routing();
                 }
@@ -669,6 +735,7 @@ impl NTierSystem {
     ) {
         let a = Self::live(&self.requests, id).apache;
         let was_waiting = Self::live(&self.requests, id).phase == Phase::EndpointWait;
+        let backend = b as u16;
         match self.apaches[a].pools[b].acquire() {
             Acquire::Ok => {
                 if was_waiting {
@@ -677,11 +744,10 @@ impl NTierSystem {
                 // The scoreboard value the policy saw when it picked `b`,
                 // captured before the acquisition updates it.
                 let lb_value = self.apaches[a].balancer.lb_values()[b];
-                self.tracer.acquired(id, now, b, lb_value);
+                self.observe(now, id, SpanKind::EndpointAcquired { backend, lb_value });
                 self.apaches[a]
                     .balancer
                     .endpoint_acquired(now, BackendId(b));
-                self.telemetry.record_assignment(now, a, b);
                 let probes = self.apaches[a].balancer.probes_before_send();
                 let probe_timeout = self.apaches[a].balancer.probe_timeout();
                 if self.cfg.balancer.sticky_sessions {
@@ -697,7 +763,7 @@ impl NTierSystem {
                 if probes {
                     // CPing first; the request is sent only on CPong.
                     r.phase = Phase::Probing;
-                    self.tracer.probe_sent(id, now, b);
+                    self.observe(now, id, SpanKind::ProbeSent { backend });
                     let d = self.link_delay();
                     sched.at(now + d, Event::ArriveProbe { request: id });
                     sched.at(now + probe_timeout, Event::ProbeTimeout { request: id });
@@ -721,7 +787,7 @@ impl NTierSystem {
                         if !was_waiting {
                             self.endpoint_waiters[b] += 1;
                         }
-                        self.tracer.endpoint_busy(id, now, b, sleep);
+                        self.observe(now, id, SpanKind::EndpointBusy { backend, sleep });
                         let r = Self::live_mut(&mut self.requests, id);
                         r.pending_backend = Some(b);
                         r.phase = Phase::EndpointWait;
@@ -731,7 +797,7 @@ impl NTierSystem {
                         if was_waiting {
                             self.endpoint_waiters[b] -= 1;
                         }
-                        self.tracer.endpoint_gave_up(id, now, b);
+                        self.observe(now, id, SpanKind::EndpointGaveUp { backend });
                         let r = Self::live_mut(&mut self.requests, id);
                         r.exclude[b] = true;
                         r.pending_backend = None;
@@ -804,7 +870,8 @@ impl NTierSystem {
         r.acquired_at = None;
         r.exclude[b] = true;
         r.phase = Phase::Routing;
-        self.tracer.probe_timed_out(id, now, b);
+        let backend = b as u16;
+        self.observe(now, id, SpanKind::ProbeTimedOut { backend });
         // Release the endpoint and mark the silent candidate Busy.
         self.apaches[a].pools[b].release();
         self.apaches[a].balancer.probe_failed(now, BackendId(b));
@@ -817,7 +884,8 @@ impl NTierSystem {
             // simlint::allow(panic-hygiene): Phase::AtTomcat implies an acquired backend
             .expect("arrived without a backend");
         let free = self.tomcats[t].has_free_thread();
-        self.tracer.arrived_backend(id, now, t, !free);
+        let (backend, queued) = (t as u16, !free);
+        self.observe(now, id, SpanKind::ArrivedBackend { backend, queued });
         if free {
             self.start_tomcat_work(now, sched, t, id);
         } else {
@@ -864,7 +932,8 @@ impl NTierSystem {
         match self.tomcats[t].db_pool.acquire() {
             Acquire::Ok => {
                 Self::live_mut(&mut self.requests, id).phase = Phase::AtDatabase;
-                self.tracer.db_dispatched(id, now, remaining - 1);
+                let remaining = remaining - 1;
+                self.observe(now, id, SpanKind::DbDispatched { remaining });
                 let d = self.link_delay();
                 sched.at(now + d, Event::ArriveMysql { request: id });
             }
@@ -913,8 +982,8 @@ impl NTierSystem {
             debug_assert_eq!(got, Acquire::Ok);
             let w = Self::live_mut(&mut self.requests, waiter);
             w.phase = Phase::AtDatabase;
-            let w_remaining = w.db_remaining;
-            self.tracer.db_dispatched(waiter, now, w_remaining - 1);
+            let remaining = w.db_remaining - 1;
+            self.observe(now, waiter, SpanKind::DbDispatched { remaining });
             let d = self.link_delay();
             sched.at(now + d, Event::ArriveMysql { request: waiter });
         }
@@ -943,7 +1012,7 @@ impl NTierSystem {
             self.start_tomcat_work(now, sched, t, next);
         }
         Self::live_mut(&mut self.requests, id).phase = Phase::Responding;
-        self.tracer.responding(id, now);
+        self.observe(now, id, SpanKind::Responding);
         let d = self.link_delay();
         sched.at(now + d, Event::ApacheReply { request: id });
     }
@@ -962,7 +1031,7 @@ impl NTierSystem {
                 now.saturating_since(r.acquired_at.unwrap_or(now)),
             )
         };
-        self.tracer.replied(id, now);
+        self.observe(now, id, SpanKind::RepliedFrontend);
         self.apaches[a].pools[b].release();
         self.apaches[a]
             .balancer
@@ -980,11 +1049,7 @@ impl NTierSystem {
     fn on_client_done(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>, id: RequestId) {
         let r = Self::remove_live(&mut self.requests, id);
         let rt = now.saturating_since(r.first_issued);
-        self.tracer.completed(id, now, rt);
-        self.telemetry.record_completion(now, rt);
-        if let Some(m) = self.metrics.as_mut() {
-            m.on_completion(now, rt.as_micros());
-        }
+        self.observe(now, id, SpanKind::Completed { rt });
         // Fold the request's time into the phase breakdown. The timestamps
         // chain first_issued → arrived → admitted → routed → acquired →
         // replied → now, so the segments partition the response time.
@@ -997,12 +1062,18 @@ impl NTierSystem {
         ) {
             let b = &mut self.telemetry.phase_breakdown;
             b.count += 1;
-            b.retransmit_wait_us += arrived.saturating_since(r.first_issued).as_micros();
-            b.apache_admission_us += admitted.saturating_since(arrived).as_micros();
-            b.apache_cpu_us += routed.saturating_since(admitted).as_micros();
-            b.routing_us += acquired.saturating_since(routed).as_micros();
-            b.backend_us += replied.saturating_since(acquired).as_micros();
-            b.response_us += now.saturating_since(replied).as_micros();
+            let stamps = [
+                r.first_issued,
+                arrived,
+                admitted,
+                routed,
+                acquired,
+                replied,
+                now,
+            ];
+            for (sum, w) in b.sums_us.iter_mut().zip(stamps.windows(2)) {
+                *sum += w[1].saturating_since(w[0]).as_micros();
+            }
         }
         self.client_continue(now, sched, r.client);
     }
@@ -1057,9 +1128,7 @@ impl NTierSystem {
             return;
         };
         if machine.begin_gc(now) {
-            self.telemetry.millibottlenecks += 1;
-            self.tracer
-                .stall(server, StallKind::Gc, now, now + gc.pause);
+            self.stall(server, StallKind::Gc, now, now + gc.pause);
             sched.at(now + gc.pause, Event::GcEnd { server });
         }
         let next = now + gc.period;
@@ -1077,96 +1146,41 @@ impl NTierSystem {
     }
 
     fn on_monitor(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        let stamp = self.telemetry.window_stamp(now);
         let (apaches, tomcats) = (self.cfg.apaches, self.cfg.tomcats);
-        for (i, a) in self.apaches.iter().enumerate() {
-            self.telemetry.apache_queues[i].record(stamp, a.queued_requests() as f64);
-            self.telemetry.apache_dirty[i].record(stamp, a.machine.dirty_bytes() as f64);
-        }
-        for (i, t) in self.tomcats.iter_mut().enumerate() {
+        for t in &mut self.tomcats {
             t.note_queue_depth();
-            // Count both requests inside the Tomcat and requests committed
-            // to it but blocked in get_endpoint — the paper's log-derived
-            // per-server queues attribute those to the target server.
-            let committed = t.queued_requests() + self.endpoint_waiters[i];
-            self.telemetry.tomcat_queues[i].record(stamp, committed as f64);
-            self.telemetry.tomcat_dirty[i].record(stamp, t.machine.dirty_bytes() as f64);
         }
-        self.telemetry
-            .mysql_queue
-            .record(stamp, self.mysql.queued_requests() as f64);
-        // CPU utilization (slot order: apaches, tomcats, mysql).
-        for i in 0..apaches {
-            let cpu = &self.apaches[i].machine.cpu;
-            let (busy, iow, cores) = (
-                cpu.busy_core_micros(now),
-                cpu.iowait_core_micros(now),
-                cpu.cores(),
-            );
-            self.telemetry
-                .sample_cpu(now, i, cores, busy, iow, apaches, tomcats);
+        // Read every server once into its slot's sample. A Tomcat's queue
+        // also counts the requests committed to it but blocked in
+        // get_endpoint.
+        let servers = self
+            .apaches
+            .iter()
+            .map(|a| (&a.machine, a.queued_requests()))
+            .chain(
+                self.tomcats
+                    .iter()
+                    .zip(&self.endpoint_waiters)
+                    .map(|(t, waiters)| (&t.machine, t.queued_requests() + waiters)),
+            )
+            .chain(std::iter::once((
+                &self.mysql.machine,
+                self.mysql.queued_requests(),
+            )));
+        for (sample, (machine, queue)) in self.samples.iter_mut().zip(servers) {
+            let cpu = &machine.cpu;
+            sample.advance_cpu(cpu.busy_core_micros(now), cpu.iowait_core_micros(now));
+            sample.cores = cpu.cores();
+            sample.queue = queue as u64;
+            sample.dirty = machine.dirty_bytes();
         }
-        for i in 0..tomcats {
-            let cpu = &self.tomcats[i].machine.cpu;
-            let (busy, iow, cores) = (
-                cpu.busy_core_micros(now),
-                cpu.iowait_core_micros(now),
-                cpu.cores(),
-            );
-            self.telemetry
-                .sample_cpu(now, apaches + i, cores, busy, iow, apaches, tomcats);
-        }
-        {
-            let cpu = &self.mysql.machine.cpu;
-            let (busy, iow, cores) = (
-                cpu.busy_core_micros(now),
-                cpu.iowait_core_micros(now),
-                cpu.cores(),
-            );
-            self.telemetry
-                .sample_cpu(now, apaches + tomcats, cores, busy, iow, apaches, tomcats);
-        }
-        // lb_values as seen by Apache 1 (the paper's instrumented server).
-        for (t, &v) in self.apaches[0].balancer.lb_values().iter().enumerate() {
-            self.telemetry.lb_values[t].record(stamp, v as f64);
-        }
-        // The streaming registry + online detector see the same levels
-        // and the same cumulative CPU counters (differenced to integer
-        // window deltas inside `sample_server`), in slot order.
+        // Every observer reads the same samples, plus Apache 1's lb_values
+        // (the paper's instrumented server), into the window just closed.
+        let window = closed_window(now, self.cfg.sample_interval);
+        let lb_values = self.apaches[0].balancer.lb_values();
+        self.telemetry.record_tick(window, &self.samples, lb_values);
         if let Some(m) = self.metrics.as_mut() {
-            m.sample_event_queue(now, sched.pending());
-            for (i, a) in self.apaches.iter().enumerate() {
-                m.sample_server(
-                    now,
-                    i,
-                    a.machine.cpu.busy_core_micros(now),
-                    a.machine.cpu.iowait_core_micros(now),
-                    a.queued_requests() as u64,
-                    a.machine.dirty_bytes(),
-                );
-            }
-            for (i, t) in self.tomcats.iter().enumerate() {
-                let committed = t.queued_requests() + self.endpoint_waiters[i];
-                m.sample_server(
-                    now,
-                    apaches + i,
-                    t.machine.cpu.busy_core_micros(now),
-                    t.machine.cpu.iowait_core_micros(now),
-                    committed as u64,
-                    t.machine.dirty_bytes(),
-                );
-            }
-            m.sample_server(
-                now,
-                apaches + tomcats,
-                self.mysql.machine.cpu.busy_core_micros(now),
-                self.mysql.machine.cpu.iowait_core_micros(now),
-                self.mysql.queued_requests() as u64,
-                self.mysql.machine.dirty_bytes(),
-            );
-            for (t, &v) in self.apaches[0].balancer.lb_values().iter().enumerate() {
-                m.sample_lb(now, t, v);
-            }
+            m.observe_tick(now, window, sched.pending(), &self.samples, lb_values);
         }
         // Detector feedback: convert the flags of the freshly closed
         // window into per-Tomcat stall signals and push them into every
@@ -1243,5 +1257,72 @@ impl Model for NTierSystem {
 
     fn event_kind(event: &Event) -> usize {
         event.kind()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
+    use mlb_workload::interactions::InteractionId;
+
+    fn system() -> NTierSystem {
+        let balancer = BalancerConfig::with(PolicyKind::TotalRequest, MechanismKind::Original);
+        match NTierSystem::new(SystemConfig::smoke(balancer)) {
+            Ok(sys) => sys,
+            Err(e) => panic!("smoke config must be valid: {e}"),
+        }
+    }
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn completion_feeds_all_sinks() {
+        let mut sys = system();
+        let rt = SimDuration::from_millis(1_500);
+        sys.observe(at(60), RequestId(0), SpanKind::Completed { rt });
+        let rt = SimDuration::from_millis(5);
+        sys.observe(at(70), RequestId(1), SpanKind::Completed { rt });
+        let t = sys.telemetry();
+        assert_eq!(t.response.total(), 2);
+        assert_eq!(t.response.vlrt_count(), 1);
+        assert_eq!(t.histogram.count(), 2);
+        assert_eq!(t.vlrt_per_window.total(), 1);
+        assert_eq!(t.rt_trace.sample_count(), 2);
+    }
+
+    #[test]
+    fn drops_counted_per_window_and_total() {
+        let mut sys = system();
+        for ms in [10, 12, 60] {
+            sys.observe(at(ms), RequestId(0), SpanKind::Dropped { attempt: 1 });
+        }
+        let t = sys.telemetry();
+        assert_eq!(t.drops, 3);
+        assert_eq!(t.drops_per_window.counts(), &[2, 1]);
+    }
+
+    #[test]
+    fn assignments_recorded_per_pair() {
+        let mut sys = system();
+        // Requests 0 and 1 enter through Apache 0, request 2 through 1.
+        for (raw, apache) in [(0, 0), (1, 0), (2, 1)] {
+            let (id, client) = (RequestId(raw), ClientId(raw as usize));
+            let r = RequestState::new(id, client, InteractionId(0), at(0), apache, 2);
+            sys.requests.insert(raw, r);
+        }
+        for (raw, backend) in [(0, 1), (1, 1), (2, 0)] {
+            let acquired = SpanKind::EndpointAcquired {
+                backend,
+                lb_value: 0,
+            };
+            sys.observe(at(10), RequestId(raw), acquired);
+        }
+        let t = sys.telemetry();
+        assert_eq!(t.distribution[0][1].total(), 2);
+        assert_eq!(t.distribution[1][0].total(), 1);
+        assert_eq!(t.distribution[0][0].total(), 0);
     }
 }

@@ -7,7 +7,8 @@
 
 use mlb_metrics::histogram::ResponseTimeHistogram;
 use mlb_metrics::series::{WindowedCounter, WindowedSeries};
-use mlb_metrics::summary::{ResponseStats, VLRT_THRESHOLD};
+use mlb_metrics::spans::Segment;
+use mlb_metrics::summary::ResponseStats;
 use mlb_simkernel::time::{SimDuration, SimTime};
 
 /// Where completed requests spent their time, averaged over the run.
@@ -30,18 +31,8 @@ use mlb_simkernel::time::{SimDuration, SimTime};
 pub struct PhaseBreakdown {
     /// Completed requests folded in.
     pub count: u64,
-    /// Σ retransmission wait (µs).
-    pub retransmit_wait_us: u64,
-    /// Σ accept-queue wait (µs).
-    pub apache_admission_us: u64,
-    /// Σ Apache CPU queue + burst (µs).
-    pub apache_cpu_us: u64,
-    /// Σ routing / get_endpoint / probing (µs).
-    pub routing_us: u64,
-    /// Σ backend (Tomcat + MySQL + AJP hops) (µs).
-    pub backend_us: u64,
-    /// Σ response delivery (µs).
-    pub response_us: u64,
+    /// Σ µs per segment, indexed by [`Segment::index`].
+    pub sums_us: [u64; 6],
 }
 
 impl PhaseBreakdown {
@@ -52,26 +43,7 @@ impl PhaseBreakdown {
             return None;
         }
         let n = self.count as f64;
-        Some([
-            self.retransmit_wait_us as f64 / n,
-            self.apache_admission_us as f64 / n,
-            self.apache_cpu_us as f64 / n,
-            self.routing_us as f64 / n,
-            self.backend_us as f64 / n,
-            self.response_us as f64 / n,
-        ])
-    }
-
-    /// Segment labels matching [`PhaseBreakdown::means_us`].
-    pub fn labels() -> [&'static str; 6] {
-        [
-            "retransmit wait",
-            "apache admission",
-            "apache cpu",
-            "routing/get_endpoint",
-            "backend (tomcat+db)",
-            "response",
-        ]
+        Some(self.sums_us.map(|sum| sum as f64 / n))
     }
 
     /// Renders a one-segment-per-line table of mean milliseconds.
@@ -81,10 +53,11 @@ impl PhaseBreakdown {
         };
         let total: f64 = means.iter().sum();
         let mut out = String::new();
-        for (label, mean) in Self::labels().iter().zip(means) {
+        for (segment, mean) in Segment::ALL.iter().zip(means) {
             out.push_str(&format!(
-                "  {label:<22} {:>9.3} ms  ({:>5.1}%)
+                "  {:<22} {:>9.3} ms  ({:>5.1}%)
 ",
+                segment.label(),
                 mean / 1_000.0,
                 if total > 0.0 {
                     mean / total * 100.0
@@ -155,9 +128,6 @@ pub struct Telemetry {
     pub phase_breakdown: PhaseBreakdown,
 
     sample_interval: SimDuration,
-    // Cumulative CPU counters at the previous sample, for differencing:
-    // (busy, iowait) per server, apaches then tomcats then mysql.
-    last_cpu: Vec<(u64, u64)>,
 }
 
 impl Telemetry {
@@ -193,7 +163,6 @@ impl Telemetry {
             millibottlenecks: 0,
             phase_breakdown: PhaseBreakdown::default(),
             sample_interval,
-            last_cpu: vec![(0, 0); apaches + tomcats + 1],
         }
     }
 
@@ -202,71 +171,31 @@ impl Telemetry {
         self.sample_interval
     }
 
-    /// Records a completed request.
-    pub fn record_completion(&mut self, now: SimTime, rt: SimDuration) {
-        self.response.record(rt);
-        self.histogram.record(rt);
-        self.rt_trace.record(now, rt.as_millis_f64());
-        if rt > VLRT_THRESHOLD {
-            self.vlrt_per_window.incr(now);
+    /// Records one monitor tick into window `window`: the per-server
+    /// `samples` in slot order and Apache 1's lb_value per Tomcat.
+    pub(crate) fn record_tick(&mut self, window: u64, samples: &[ServerSample], lb_values: &[u64]) {
+        let stamp = SimTime::from_micros(window * self.sample_interval.as_micros());
+        let (apaches, rest) = samples.split_at(self.apache_util.len());
+        let (tomcats, mysql) = rest.split_at(self.tomcat_util.len());
+        for (i, s) in apaches.iter().enumerate() {
+            let (util, iowait) = s.fractions(self.sample_interval);
+            self.apache_queues[i].record(stamp, s.queue as f64);
+            self.apache_dirty[i].record(stamp, s.dirty as f64);
+            self.apache_util[i].record(stamp, util);
+            self.apache_iowait[i].record(stamp, iowait);
         }
-    }
-
-    /// Records an accept-queue drop.
-    pub fn record_drop(&mut self, now: SimTime) {
-        self.drops += 1;
-        self.drops_per_window.incr(now);
-    }
-
-    /// Records a request assignment (endpoint acquired) from `apache` to
-    /// `tomcat`.
-    pub fn record_assignment(&mut self, now: SimTime, apache: usize, tomcat: usize) {
-        self.distribution[apache][tomcat].incr(now);
-    }
-
-    /// Stores the CPU utilization sample for server slot `slot`
-    /// (0..apaches = Apaches, then Tomcats, then MySQL) given the
-    /// *cumulative* busy/iowait core-micros at `now`. The recorded value
-    /// is the busy (and iowait) fraction over the window just closed;
-    /// both samples are timestamped inside that window.
-    #[allow(clippy::too_many_arguments)] // flat sample call on the hot monitor path
-    pub fn sample_cpu(
-        &mut self,
-        now: SimTime,
-        slot: usize,
-        cores: usize,
-        busy_cum: u64,
-        iowait_cum: u64,
-        apaches: usize,
-        tomcats: usize,
-    ) {
-        let (prev_busy, prev_iowait) = self.last_cpu[slot];
-        let denom = (self.sample_interval.as_micros() * cores as u64) as f64;
-        let busy_frac = (busy_cum.saturating_sub(prev_busy)) as f64 / denom;
-        let iowait_frac = (iowait_cum.saturating_sub(prev_iowait)) as f64 / denom;
-        self.last_cpu[slot] = (busy_cum, iowait_cum);
-        let stamp = self.window_stamp(now);
-        // The paper's CPU plots show saturation during iowait, so "util"
-        // includes the iowait share; the iowait series isolates it.
-        let util = (busy_frac + iowait_frac).min(1.0);
-        if slot < apaches {
-            self.apache_util[slot].record(stamp, util);
-            self.apache_iowait[slot].record(stamp, iowait_frac.min(1.0));
-        } else if slot < apaches + tomcats {
-            self.tomcat_util[slot - apaches].record(stamp, util);
-            self.tomcat_iowait[slot - apaches].record(stamp, iowait_frac.min(1.0));
-        } else {
-            self.mysql_util.record(stamp, util);
+        for (i, s) in tomcats.iter().enumerate() {
+            let (util, iowait) = s.fractions(self.sample_interval);
+            self.tomcat_queues[i].record(stamp, s.queue as f64);
+            self.tomcat_dirty[i].record(stamp, s.dirty as f64);
+            self.tomcat_util[i].record(stamp, util);
+            self.tomcat_iowait[i].record(stamp, iowait);
         }
-    }
-
-    /// Timestamp that lands a sample taken at a window boundary inside the
-    /// window it describes.
-    pub fn window_stamp(&self, now: SimTime) -> SimTime {
-        if now.as_micros() >= self.sample_interval.as_micros() {
-            now - SimDuration::from_micros(1)
-        } else {
-            now
+        let (util, _) = mysql[0].fractions(self.sample_interval);
+        self.mysql_queue.record(stamp, mysql[0].queue as f64);
+        self.mysql_util.record(stamp, util);
+        for (series, &v) in self.lb_values.iter_mut().zip(lb_values) {
+            series.record(stamp, v as f64);
         }
     }
 
@@ -290,6 +219,61 @@ impl Telemetry {
     }
 }
 
+/// One server's state at a monitor tick.
+///
+/// `NTierSystem` reads every server once per tick into one of these, in
+/// slot order (Apaches, then Tomcats, then MySQL), and hands the same
+/// slice to [`Telemetry::record_tick`] and to the live metrics. The sample
+/// keeps the cumulative CPU counters it was last advanced to, so the
+/// per-window deltas are computed once, here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ServerSample {
+    /// Cumulative busy core-µs at the latest tick.
+    pub(crate) busy_cum_us: u64,
+    /// Cumulative iowait core-µs at the latest tick.
+    pub(crate) iowait_cum_us: u64,
+    /// Busy core-µs over the window the latest tick closed.
+    pub(crate) busy_us: u64,
+    /// Iowait core-µs over the window the latest tick closed.
+    pub(crate) iowait_us: u64,
+    /// CPU cores.
+    pub(crate) cores: usize,
+    /// Queued requests. A Tomcat's count includes the requests committed
+    /// to it but blocked in `get_endpoint`: the paper's log-derived
+    /// per-server queues attribute those to the target server.
+    pub(crate) queue: u64,
+    /// Dirty page-cache bytes.
+    pub(crate) dirty: u64,
+}
+
+impl ServerSample {
+    /// Moves to the cumulative CPU counters read at this tick; the
+    /// window deltas are their difference from the previous tick's.
+    pub(crate) fn advance_cpu(&mut self, busy_cum_us: u64, iowait_cum_us: u64) {
+        self.busy_us = busy_cum_us.saturating_sub(self.busy_cum_us);
+        self.iowait_us = iowait_cum_us.saturating_sub(self.iowait_cum_us);
+        self.busy_cum_us = busy_cum_us;
+        self.iowait_cum_us = iowait_cum_us;
+    }
+
+    /// The (utilization, iowait) fractions of the window's core time.
+    /// The paper's CPU plots show saturation during iowait, so
+    /// utilization includes the iowait share; the iowait fraction
+    /// isolates it.
+    fn fractions(&self, window: SimDuration) -> (f64, f64) {
+        let denom = (window.as_micros() * self.cores as u64) as f64;
+        let busy = self.busy_us as f64 / denom;
+        let iowait = self.iowait_us as f64 / denom;
+        ((busy + iowait).min(1.0), iowait.min(1.0))
+    }
+}
+
+/// The window a monitor tick closes: the tick at `k·interval` closes
+/// window `k − 1`, so every sample it takes describes that window.
+pub(crate) fn closed_window(now: SimTime, interval: SimDuration) -> u64 {
+    (now.as_micros() / interval.as_micros()).saturating_sub(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,16 +282,20 @@ mod tests {
         Telemetry::new(2, 2, SimDuration::from_millis(50))
     }
 
+    /// Five slots (2 Apaches, 2 Tomcats, MySQL) with `cores` cores each.
+    fn samples(cores: usize) -> Vec<ServerSample> {
+        let s = ServerSample {
+            cores,
+            ..ServerSample::default()
+        };
+        vec![s; 5]
+    }
+
     #[test]
     fn phase_breakdown_means_and_render() {
         let b = PhaseBreakdown {
             count: 2,
-            retransmit_wait_us: 2_000,
-            apache_admission_us: 0,
-            apache_cpu_us: 500,
-            routing_us: 100,
-            backend_us: 4_000,
-            response_us: 400,
+            sums_us: [2_000, 0, 500, 100, 4_000, 400],
         };
         let means = b.means_us().unwrap();
         assert_eq!(means[0], 1_000.0);
@@ -328,50 +316,21 @@ mod tests {
     }
 
     #[test]
-    fn completion_feeds_all_sinks() {
-        let mut t = telemetry();
-        t.record_completion(SimTime::from_millis(60), SimDuration::from_millis(1_500));
-        t.record_completion(SimTime::from_millis(70), SimDuration::from_millis(5));
-        assert_eq!(t.response.total(), 2);
-        assert_eq!(t.response.vlrt_count(), 1);
-        assert_eq!(t.histogram.count(), 2);
-        assert_eq!(t.vlrt_per_window.total(), 1);
-        assert_eq!(t.rt_trace.sample_count(), 2);
-    }
-
-    #[test]
-    fn drops_counted_per_window_and_total() {
-        let mut t = telemetry();
-        t.record_drop(SimTime::from_millis(10));
-        t.record_drop(SimTime::from_millis(12));
-        t.record_drop(SimTime::from_millis(60));
-        assert_eq!(t.drops, 3);
-        assert_eq!(t.drops_per_window.counts(), &[2, 1]);
-    }
-
-    #[test]
-    fn assignments_recorded_per_pair() {
-        let mut t = telemetry();
-        t.record_assignment(SimTime::from_millis(10), 0, 1);
-        t.record_assignment(SimTime::from_millis(10), 0, 1);
-        t.record_assignment(SimTime::from_millis(10), 1, 0);
-        assert_eq!(t.distribution[0][1].total(), 2);
-        assert_eq!(t.distribution[1][0].total(), 1);
-        assert_eq!(t.distribution[0][0].total(), 0);
-    }
-
-    #[test]
     fn cpu_sampling_differs_cumulative_counters() {
         let mut t = telemetry();
+        let mut s = samples(2);
         let interval = 50_000u64; // 50 ms in micros
                                   // Slot 0 (apache 0), 2 cores: busy 25 ms of 100 core-ms → 25%.
-        t.sample_cpu(SimTime::from_millis(50), 0, 2, 25_000, 0, 2, 2);
+        s[0].advance_cpu(25_000, 0);
+        t.record_tick(0, &s, &[]);
         let w = t.apache_util[0]
             .window_at(SimTime::from_millis(49))
             .unwrap();
         assert!((w.mean().unwrap() - 0.25).abs() < 1e-9);
         // Next window: cumulative 35 ms → delta 10 ms → 10%.
-        t.sample_cpu(SimTime::from_millis(100), 0, 2, 35_000, interval, 2, 2);
+        s[0].advance_cpu(35_000, interval);
+        assert_eq!((s[0].busy_us, s[0].iowait_us), (10_000, interval));
+        t.record_tick(1, &s, &[]);
         let w = t.apache_util[0]
             .window_at(SimTime::from_millis(99))
             .unwrap();
@@ -386,22 +345,39 @@ mod tests {
     #[test]
     fn cpu_sampling_routes_to_correct_tier() {
         let mut t = telemetry();
-        t.sample_cpu(SimTime::from_millis(50), 2, 4, 200_000, 0, 2, 2); // tomcat 0 @ 100%
+        let mut s = samples(4);
+        s[2].advance_cpu(200_000, 0); // tomcat 0 @ 100%
+        s[4].advance_cpu(100_000, 0); // mysql @ 50%
+        t.record_tick(0, &s, &[]);
         let w = t.tomcat_util[0]
             .window_at(SimTime::from_millis(49))
             .unwrap();
         assert!((w.mean().unwrap() - 1.0).abs() < 1e-9);
-        t.sample_cpu(SimTime::from_millis(50), 4, 4, 100_000, 0, 2, 2); // mysql @ 50%
         let w = t.mysql_util.window_at(SimTime::from_millis(49)).unwrap();
         assert!((w.mean().unwrap() - 0.5).abs() < 1e-9);
+        let w = t.apache_util[1]
+            .window_at(SimTime::from_millis(49))
+            .unwrap();
+        assert_eq!(w.mean(), Some(0.0));
     }
 
     #[test]
     fn window_stamp_lands_in_closed_window() {
-        let t = telemetry();
-        let stamp = t.window_stamp(SimTime::from_millis(50));
-        assert!(stamp < SimTime::from_millis(50));
-        assert_eq!(t.window_stamp(SimTime::ZERO), SimTime::ZERO);
+        let interval = SimDuration::from_millis(50);
+        assert_eq!(closed_window(SimTime::from_millis(50), interval), 0);
+        assert_eq!(closed_window(SimTime::from_millis(100), interval), 1);
+        assert_eq!(closed_window(SimTime::ZERO, interval), 0);
+        // A tick's samples land in the window it closed.
+        let mut t = telemetry();
+        let mut s = samples(1);
+        s[4].queue = 7;
+        t.record_tick(
+            closed_window(SimTime::from_millis(100), interval),
+            &s,
+            &[3, 4],
+        );
+        assert_eq!(t.mysql_queue.means(0.0), vec![0.0, 7.0]);
+        assert_eq!(t.lb_values[1].means(0.0), vec![0.0, 4.0]);
     }
 
     #[test]

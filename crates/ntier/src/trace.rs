@@ -1,8 +1,9 @@
 //! Per-request event tracing for the n-tier system.
 //!
 //! [`Tracer`] is the simulator-facing half of the milliScope-style
-//! instrumentation: [`crate::system::NTierSystem`] calls one hook per
-//! lifecycle transition, and the tracer assembles a
+//! instrumentation: [`crate::system::NTierSystem`] hands it one
+//! [`SpanKind`] record per lifecycle transition through
+//! [`Tracer::record_span`], and the tracer assembles a
 //! [`RequestTrace`](mlb_metrics::spans::RequestTrace) per in-flight
 //! request, finalizing it into a [`TraceLog`] on completion or failure.
 //! Millibottleneck windows (pdflush flushes, GC pauses) are recorded as
@@ -11,14 +12,14 @@
 //! overlapped.
 //!
 //! Tracing is **off by default** ([`TraceConfig::disabled`]) and costs a
-//! single branch per hook when disabled: no allocation, no hashing, no
+//! single branch per record when disabled: no allocation, no hashing, no
 //! event is recorded, and the simulation's event stream is untouched
 //! either way (tracing is purely observational — it never schedules or
 //! perturbs anything).
 
 use mlb_metrics::spans::{RequestTrace, SpanEvent, SpanKind, StallKind, TraceLog};
 use mlb_metrics::summary::VLRT_THRESHOLD;
-use mlb_simkernel::time::{SimDuration, SimTime};
+use mlb_simkernel::time::SimTime;
 
 use crate::events::ServerRef;
 use crate::request::RequestId;
@@ -27,7 +28,7 @@ use crate::slab::RequestArena;
 /// Configuration of the per-request tracer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. When off, every hook is a single branch.
+    /// Master switch. When off, every record is a single branch.
     pub enabled: bool,
     /// Completed traces retained in the ring (oldest evicted first).
     /// VLRT attribution is streaming and unaffected by this bound.
@@ -45,7 +46,7 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Tracing off (the default; zero cost beyond one branch per hook).
+    /// Tracing off (the default; zero cost beyond one branch per record).
     pub fn disabled() -> Self {
         TraceConfig {
             enabled: false,
@@ -83,7 +84,7 @@ impl Default for TraceConfig {
     }
 }
 
-/// Assembles per-request traces from the system's lifecycle hooks.
+/// Assembles per-request traces from the system's lifecycle records.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
@@ -120,12 +121,6 @@ impl Tracer {
         self.spare_events.len()
     }
 
-    /// Whether request `id` is selected by the 1-in-N sampler.
-    #[inline]
-    fn sampled(&self, id: RequestId) -> bool {
-        id.0.is_multiple_of(self.sample_every)
-    }
-
     /// Whether tracing is on.
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -141,202 +136,34 @@ impl Tracer {
         self.enabled.then_some(self.log)
     }
 
-    /// Arena key for a sampled id (exact multiples of `sample_every`
-    /// compress to consecutive keys, keeping the arena window dense).
-    #[inline]
-    fn key(&self, id: RequestId) -> u64 {
-        id.0 / self.sample_every
-    }
-
-    #[inline]
-    fn push(&mut self, id: RequestId, at: SimTime, kind: SpanKind) {
-        if !self.enabled || !self.sampled(id) {
+    /// Records one lifecycle transition of request `id` at `at`.
+    /// `Completed` and `Failed` end the request: its trace is finalized
+    /// into the log, and attributed if it is a VLRT.
+    pub fn record_span(&mut self, id: RequestId, at: SimTime, kind: SpanKind) {
+        if !self.enabled || !id.0.is_multiple_of(self.sample_every) {
             return;
         }
-        let key = self.key(id);
+        // The arena key of a sampled id: exact multiples of
+        // `sample_every` compress to consecutive keys, keeping the arena
+        // window dense.
+        let key = id.0 / self.sample_every;
+        if let SpanKind::Completed { .. } | SpanKind::Failed { .. } = kind {
+            if let Some(mut trace) = self.live.remove(key) {
+                trace.push(at, kind);
+                // Bank whatever buffer the log retires for the next
+                // in-flight trace.
+                if let Some(retired) = self.log.record(trace, VLRT_THRESHOLD) {
+                    self.spare_events.push(retired.into_events());
+                }
+            }
+            return;
+        }
         let spare = &mut self.spare_events;
         if let Some(trace) = self.live.get_or_insert_with(key, || match spare.pop() {
             Some(events) => RequestTrace::recycled(id.0, events),
             None => RequestTrace::new(id.0),
         }) {
             trace.push(at, kind);
-        }
-    }
-
-    /// Finalizes `trace` into the log, banking whatever buffer the log
-    /// retires for the next in-flight trace.
-    fn finalize(&mut self, trace: RequestTrace) {
-        if let Some(retired) = self.log.record(trace, VLRT_THRESHOLD) {
-            self.spare_events.push(retired.into_events());
-        }
-    }
-
-    /// A client issued the request (first transmission).
-    pub fn issued(&mut self, id: RequestId, at: SimTime, client: u64, apache: usize) {
-        self.push(
-            id,
-            at,
-            SpanKind::Issued {
-                client,
-                apache: apache as u16,
-            },
-        );
-    }
-
-    /// The request reached its Apache on transmission `attempt`.
-    pub fn arrived(&mut self, id: RequestId, at: SimTime, attempt: u32) {
-        self.push(id, at, SpanKind::Arrived { attempt });
-    }
-
-    /// The accept queue dropped transmission `attempt`.
-    pub fn dropped(&mut self, id: RequestId, at: SimTime, attempt: u32) {
-        self.push(id, at, SpanKind::Dropped { attempt });
-    }
-
-    /// TCP scheduled retransmission `attempt` after `wait`.
-    pub fn retransmit_scheduled(
-        &mut self,
-        id: RequestId,
-        at: SimTime,
-        attempt: u32,
-        wait: SimDuration,
-    ) {
-        self.push(id, at, SpanKind::RetransmitScheduled { attempt, wait });
-    }
-
-    /// An Apache worker claimed the request.
-    pub fn admitted(&mut self, id: RequestId, at: SimTime) {
-        self.push(id, at, SpanKind::Admitted);
-    }
-
-    /// Apache parsing finished; routing began.
-    pub fn routing_started(&mut self, id: RequestId, at: SimTime) {
-        self.push(id, at, SpanKind::RoutingStarted);
-    }
-
-    /// `get_endpoint` found `backend`'s pool exhausted; polling again
-    /// after `sleep`.
-    pub fn endpoint_busy(
-        &mut self,
-        id: RequestId,
-        at: SimTime,
-        backend: usize,
-        sleep: SimDuration,
-    ) {
-        self.push(
-            id,
-            at,
-            SpanKind::EndpointBusy {
-                backend: backend as u16,
-                sleep,
-            },
-        );
-    }
-
-    /// The mechanism stopped polling `backend`.
-    pub fn endpoint_gave_up(&mut self, id: RequestId, at: SimTime, backend: usize) {
-        self.push(
-            id,
-            at,
-            SpanKind::EndpointGaveUp {
-                backend: backend as u16,
-            },
-        );
-    }
-
-    /// Selection found no eligible backend; retrying after `sleep`.
-    pub fn no_candidate(&mut self, id: RequestId, at: SimTime, sleep: SimDuration) {
-        self.push(id, at, SpanKind::NoCandidate { sleep });
-    }
-
-    /// A CPing probe was sent to `backend`.
-    pub fn probe_sent(&mut self, id: RequestId, at: SimTime, backend: usize) {
-        self.push(
-            id,
-            at,
-            SpanKind::ProbeSent {
-                backend: backend as u16,
-            },
-        );
-    }
-
-    /// The CPing probe to `backend` timed out.
-    pub fn probe_timed_out(&mut self, id: RequestId, at: SimTime, backend: usize) {
-        self.push(
-            id,
-            at,
-            SpanKind::ProbeTimedOut {
-                backend: backend as u16,
-            },
-        );
-    }
-
-    /// An endpoint on `backend` was acquired; `lb_value` is the policy's
-    /// scoreboard value for it at this decision.
-    pub fn acquired(&mut self, id: RequestId, at: SimTime, backend: usize, lb_value: u64) {
-        self.push(
-            id,
-            at,
-            SpanKind::EndpointAcquired {
-                backend: backend as u16,
-                lb_value,
-            },
-        );
-    }
-
-    /// The request reached Tomcat `backend` (`queued` if no thread free).
-    pub fn arrived_backend(&mut self, id: RequestId, at: SimTime, backend: usize, queued: bool) {
-        self.push(
-            id,
-            at,
-            SpanKind::ArrivedBackend {
-                backend: backend as u16,
-                queued,
-            },
-        );
-    }
-
-    /// A servlet thread started executing the request.
-    pub fn backend_started(&mut self, id: RequestId, at: SimTime) {
-        self.push(id, at, SpanKind::BackendStarted);
-    }
-
-    /// A MySQL query was dispatched (`remaining` still to go after it).
-    pub fn db_dispatched(&mut self, id: RequestId, at: SimTime, remaining: u32) {
-        self.push(id, at, SpanKind::DbDispatched { remaining });
-    }
-
-    /// The servlet finished; response heading back to Apache.
-    pub fn responding(&mut self, id: RequestId, at: SimTime) {
-        self.push(id, at, SpanKind::Responding);
-    }
-
-    /// The response reached the front-end Apache.
-    pub fn replied(&mut self, id: RequestId, at: SimTime) {
-        self.push(id, at, SpanKind::RepliedFrontend);
-    }
-
-    /// The client received the response; the trace is finalized into the
-    /// log and attributed if `rt` exceeds the VLRT threshold.
-    pub fn completed(&mut self, id: RequestId, at: SimTime, rt: SimDuration) {
-        if !self.enabled || !self.sampled(id) {
-            return;
-        }
-        if let Some(mut trace) = self.live.remove(self.key(id)) {
-            trace.push(at, SpanKind::Completed { rt });
-            self.finalize(trace);
-        }
-    }
-
-    /// The request terminally failed `elapsed` after its first
-    /// transmission; the trace is finalized as failed.
-    pub fn failed(&mut self, id: RequestId, at: SimTime, elapsed: SimDuration) {
-        if !self.enabled || !self.sampled(id) {
-            return;
-        }
-        if let Some(mut trace) = self.live.remove(self.key(id)) {
-            trace.push(at, SpanKind::Failed { elapsed });
-            self.finalize(trace);
         }
     }
 
@@ -354,16 +181,27 @@ impl Tracer {
 mod tests {
     use super::*;
     use mlb_metrics::spans::Segment;
+    use mlb_simkernel::time::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
     }
 
+    fn ms(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+
+    /// Request `raw`: issued at `raw` ms, completed 1 ms later.
+    fn one_ms_request(tr: &mut Tracer, raw: u64) {
+        let (id, client, apache) = (RequestId(raw), 0, 0);
+        tr.record_span(id, t(raw), SpanKind::Issued { client, apache });
+        tr.record_span(id, t(raw + 1), SpanKind::Completed { rt: ms(1) });
+    }
+
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut tr = Tracer::new(&TraceConfig::disabled());
-        tr.issued(RequestId(1), t(0), 0, 0);
-        tr.completed(RequestId(1), t(5), SimDuration::from_millis(5));
+        one_ms_request(&mut tr, 1);
         assert!(!tr.enabled());
         assert!(tr.log().is_none());
         assert!(tr.into_log().is_none());
@@ -371,23 +209,30 @@ mod tests {
 
     #[test]
     fn full_lifecycle_assembles_ordered_trace() {
+        use SpanKind::*;
         let mut tr = Tracer::new(&TraceConfig::enabled_default());
         let id = RequestId(4);
-        tr.issued(id, t(0), 9, 1);
-        tr.dropped(id, t(1), 1);
-        tr.retransmit_scheduled(id, t(1), 2, SimDuration::from_millis(1_000));
-        tr.arrived(id, t(1_001), 2);
-        tr.admitted(id, t(1_002));
-        tr.routing_started(id, t(1_003));
-        tr.endpoint_busy(id, t(1_003), 0, SimDuration::from_millis(100));
-        tr.endpoint_gave_up(id, t(1_103), 0);
-        tr.acquired(id, t(1_104), 1, 17);
-        tr.arrived_backend(id, t(1_105), 1, true);
-        tr.backend_started(id, t(1_110));
-        tr.db_dispatched(id, t(1_111), 1);
-        tr.responding(id, t(1_120));
-        tr.replied(id, t(1_121));
-        tr.completed(id, t(1_122), SimDuration::from_millis(1_122));
+        let (client, apache, backend) = (9, 1, 1);
+        let (wait, sleep, lb_value, queued) = (ms(1_000), ms(100), 17, true);
+        for (at, kind) in [
+            (0, Issued { client, apache }),
+            (1, Dropped { attempt: 1 }),
+            (1, RetransmitScheduled { attempt: 2, wait }),
+            (1_001, Arrived { attempt: 2 }),
+            (1_002, Admitted),
+            (1_003, RoutingStarted),
+            (1_003, EndpointBusy { backend: 0, sleep }),
+            (1_103, EndpointGaveUp { backend: 0 }),
+            (1_104, EndpointAcquired { backend, lb_value }),
+            (1_105, ArrivedBackend { backend, queued }),
+            (1_110, BackendStarted),
+            (1_111, DbDispatched { remaining: 1 }),
+            (1_120, Responding),
+            (1_121, RepliedFrontend),
+            (1_122, Completed { rt: ms(1_122) }),
+        ] {
+            tr.record_span(id, t(at), kind);
+        }
         let log = tr.log().unwrap();
         assert_eq!(log.completed, 1);
         assert_eq!(log.summary.vlrt_total, 1);
@@ -416,9 +261,7 @@ mod tests {
     fn sampling_selects_exactly_the_divisible_ids() {
         let mut tr = Tracer::new(&TraceConfig::sampled(3));
         for raw in 0..10u64 {
-            let id = RequestId(raw);
-            tr.issued(id, t(raw), 0, 0);
-            tr.completed(id, t(raw + 1), SimDuration::from_millis(1));
+            one_ms_request(&mut tr, raw);
         }
         let log = tr.log().unwrap();
         assert_eq!(log.completed, 4); // ids 0, 3, 6, 9
@@ -441,9 +284,7 @@ mod tests {
         // Sequential requests: once the 2-deep ring is warm, every
         // finalize retires a trace whose buffer the next request reuses.
         for raw in 0..10u64 {
-            let id = RequestId(raw);
-            tr.issued(id, t(raw), 0, 0);
-            tr.completed(id, t(raw + 1), SimDuration::from_millis(1));
+            one_ms_request(&mut tr, raw);
         }
         let log = tr.log().unwrap();
         assert_eq!(log.completed, 10);
@@ -459,9 +300,7 @@ mod tests {
         cfg.recent_capacity = 0;
         let mut tr = Tracer::new(&cfg);
         for raw in 0..5u64 {
-            let id = RequestId(raw);
-            tr.issued(id, t(raw), 0, 0);
-            tr.completed(id, t(raw + 1), SimDuration::from_millis(1));
+            one_ms_request(&mut tr, raw);
         }
         let log = tr.log().unwrap();
         assert_eq!(log.completed, 5);
@@ -473,9 +312,10 @@ mod tests {
     fn failed_request_is_finalized_as_failed() {
         let mut tr = Tracer::new(&TraceConfig::enabled_default());
         let id = RequestId(2);
-        tr.issued(id, t(0), 0, 0);
-        tr.dropped(id, t(1), 1);
-        tr.failed(id, t(7_001), SimDuration::from_millis(7_001));
+        let (client, apache) = (0, 0);
+        tr.record_span(id, t(0), SpanKind::Issued { client, apache });
+        tr.record_span(id, t(1), SpanKind::Dropped { attempt: 1 });
+        tr.record_span(id, t(7_001), SpanKind::Failed { elapsed: ms(7_001) });
         let log = tr.log().unwrap();
         assert_eq!(log.failed, 1);
         assert_eq!(log.completed, 0);

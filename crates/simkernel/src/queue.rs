@@ -120,6 +120,9 @@ pub struct EventQueue<E> {
     pushed_total: u64,
 }
 
+// One instance per run, never moved after construction: boxing `Wheel`
+// would only add a pointer hop to every push and pop.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum QueueImpl<E> {
     Wheel(Wheel<E>),

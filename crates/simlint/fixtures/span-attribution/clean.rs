@@ -12,3 +12,7 @@ pub fn label(kind: &SpanKind) -> &'static str {
         SpanKind::Ghost => "ghost",
     }
 }
+
+pub fn all() -> [SpanKind; 2] {
+    [SpanKind::Issued, SpanKind::Ghost]
+}

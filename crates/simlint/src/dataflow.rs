@@ -220,11 +220,12 @@ enum Origin {
 }
 
 /// One scope entry. Most bindings (lets, parameters, patterns, closure
-/// parameters) set both halves. Two taint-only cases shadow without
-/// aliasing: an assignment that re-tracks `x` or `self.field`, and an
-/// `if let` binding, which the taint half keeps in the enclosing scope.
-/// The write half binds `if let` / `while let` names in the guarded
-/// body's scope only. Each lookup skips entries without its half.
+/// parameters) set both halves. An assignment that re-tracks `x` or
+/// `self.field` sets the taint half only: it shadows without aliasing.
+/// `if let` / `while let` names are bound in the guarded body's scope,
+/// the taint half by evaluating the condition there and the write half
+/// from the condition's bindings. Each lookup skips entries without its
+/// half.
 #[derive(Debug, Clone, Default)]
 struct Binding {
     facts: Option<Facts>,
@@ -831,6 +832,8 @@ impl<'a> Walker<'a> {
             }
             ExprKind::Block(b) => self.run_block(b),
             ExprKind::If { cond, then, els } => {
+                // `if let` names live in the guarded block's scope only.
+                self.scopes.push(BTreeMap::new());
                 self.eval(cond);
                 let gate = self.check.as_ref().is_some_and(|c| c.families.sim)
                     && is_gated_cond(cond, self.cx.model);
@@ -838,7 +841,6 @@ impl<'a> Walker<'a> {
                 if gate {
                     self.shift_gate(1);
                 }
-                self.scopes.push(BTreeMap::new());
                 for (name, origin) in bound {
                     self.bind_origin(name, origin);
                 }

@@ -15,7 +15,7 @@
 //! | `no-ambient-rng` | all randomness flows from seeded `simkernel::rng` streams |
 //! | `panic-hygiene` | `unwrap`/`expect` in event-loop hot paths carry a written invariant |
 //! | `crate-header` | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `span-attribution` | every `SpanKind` variant is constructed by the tracer |
+//! | `span-attribution` | every `SpanKind` variant is constructed by the system's observer calls |
 //! | `no-float-accum` | telemetry/metrics paths accumulate integers, not `f64` sums |
 //! | `bad-suppression` | suppressions are justified and actually used |
 //! | `nondet-taint` | nondeterministic values never flow into event scheduling |

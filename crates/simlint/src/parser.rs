@@ -1026,7 +1026,9 @@ impl Parser {
         let mut idents = Vec::new();
         loop {
             match self.peek().map(|t| t.kind.clone()) {
-                Some(Pk::P('&') | Pk::P('*') | Pk::P('!')) => self.advance(),
+                // The lexer folds `&&` into one operator; in a type it
+                // is two reference levels.
+                Some(Pk::P('&') | Pk::Op("&&") | Pk::P('*') | Pk::P('!')) => self.advance(),
                 Some(Pk::Lifetime) => self.advance(),
                 Some(Pk::Op("::") | Pk::Op("->")) => self.advance(),
                 Some(Pk::P('(') | Pk::P('[')) => {

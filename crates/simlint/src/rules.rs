@@ -61,10 +61,11 @@ pub const FLOAT_ACCUM_PATHS: [&str; 4] = [
     "crates/ntier/src/telemetry.rs",
 ];
 
-/// Files that must construct every `SpanKind` variant — the tracer is
-/// the only component that feeds spans into VLRT attribution, so a
-/// variant it never emits silently falls out of the accounting.
-pub const SPAN_REF_PATHS: [&str; 1] = ["crates/ntier/src/trace.rs"];
+/// Files that must construct every `SpanKind` variant — the system's
+/// one observer call is the only path that feeds spans into VLRT
+/// attribution, so a variant it never emits silently falls out of the
+/// accounting.
+pub const SPAN_REF_PATHS: [&str; 1] = ["crates/ntier/src/system.rs"];
 
 /// Every registered rule. The fixture meta-test enforces one triggering
 /// and one clean fixture per entry.
@@ -120,11 +121,12 @@ pub const RULES: [RuleMeta; 17] = [
     },
     RuleMeta {
         name: "span-attribution",
-        summary: "every SpanKind variant must be constructed by the tracer, or it falls out of VLRT accounting",
-        rationale: "VLRT attribution classifies requests by the spans the tracer emitted. A \
-                    SpanKind variant the tracer never constructs silently drops its phase \
-                    from every latency profile.",
-        example: "pub enum SpanKind { Issued, Ghost }   // finding if trace.rs never builds SpanKind::Ghost",
+        summary: "every SpanKind variant must be constructed by the system's observer calls, or it falls out of VLRT accounting",
+        rationale: "VLRT attribution classifies requests by the spans the system recorded. A \
+                    SpanKind variant the system never constructs silently drops its phase \
+                    from every latency profile. Naming a variant in a pattern (a match arm, \
+                    an `if let`) does not count as constructing it.",
+        example: "pub enum SpanKind { Issued, Ghost }   // finding if system.rs never builds SpanKind::Ghost",
     },
     RuleMeta {
         name: "no-float-accum",
@@ -895,7 +897,10 @@ pub fn span_attribution(
                 && matches!(code.get(i + 2), Some(n) if n.is_punct(':'))
             {
                 if let Some(v) = code.get(i + 3) {
-                    if v.kind == TokenKind::Ident && !referenced.contains(&v.text) {
+                    if v.kind == TokenKind::Ident
+                        && !is_pattern(&code, i + 4)
+                        && !referenced.contains(&v.text)
+                    {
                         referenced.push(v.text.clone());
                     }
                 }
@@ -915,6 +920,35 @@ pub fn span_attribution(
             Finding::new("span-attribution", decl_path, *line, 1, msg)
         })
         .collect()
+}
+
+/// Whether the variant path ending just before `code[at]` is a pattern
+/// rather than a construction: after its optional `{..}`/`(..)` body
+/// comes `=>` or a match guard (a match arm), a lone `=` (an `if let` or
+/// `let` pattern) or a lone `|` (a pattern alternative). An exhaustive
+/// match names every variant, so counting patterns would make the rule
+/// vacuous for any file that matches on `SpanKind`.
+fn is_pattern(code: &[&Token], mut at: usize) -> bool {
+    let opens = |t: &Token| t.is_punct('{') || t.is_punct('(');
+    if code.get(at).is_some_and(|t| opens(t)) {
+        let mut depth = 0i32;
+        while let Some(t) = code.get(at) {
+            at += 1;
+            if opens(t) {
+                depth += 1;
+            } else if t.is_punct('}') || t.is_punct(')') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    let lone = |c: char| {
+        matches!(code.get(at), Some(t) if t.is_punct(c))
+            && !matches!(code.get(at + 1), Some(t) if t.is_punct(c))
+    };
+    lone('=') || lone('|') || matches!(code.get(at), Some(t) if t.is_ident("if"))
 }
 
 /// Enums whose matches in sim-crate library code must name every
@@ -1309,5 +1343,20 @@ mod tests {
         let f = span_attribution("spans.rs", &decl, &refs);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("Ghost"));
+    }
+
+    #[test]
+    fn span_attribution_does_not_count_patterns_as_constructions() {
+        let decl = lex("pub enum SpanKind { A, B { x: u8 }, C, D, E, F(u8) }");
+        let src = "fn f(k: SpanKind) { match k { SpanKind::A | SpanKind::B { .. } => {} \
+                   SpanKind::C if g() => {} _ => {} } \
+                   if let SpanKind::F(_) = k {} \
+                   let a = SpanKind::D; h(SpanKind::E, SpanKind::F(1), a == SpanKind::C); }";
+        let refs = vec![("system.rs".to_owned(), lex(src))];
+        let found: Vec<String> = span_attribution("spans.rs", &decl, &refs)
+            .iter()
+            .map(|f| f.message.split(' ').next().unwrap_or_default().to_owned())
+            .collect();
+        assert_eq!(found, vec!["SpanKind::A", "SpanKind::B"]);
     }
 }

@@ -141,9 +141,11 @@ fn clean_fixtures_are_clean() {
 /// *exact* number of findings of the owning rule each must produce.
 /// Exactness matters for the interprocedural ones: a finding per hop
 /// (instead of one at the sink) would drown real reports in echoes.
-const EXTRA_FIXTURES: [(&str, &str, usize); 10] = [
+const EXTRA_FIXTURES: [(&str, &str, usize); 12] = [
     ("nondet-taint", "two_hop_trigger", 1),
     ("nondet-taint", "two_hop_clean", 0),
+    // An `if let` name does not outlive its guarded block.
+    ("nondet-taint", "if_let_scope_clean", 0),
     // A sim-state write laundered through two helper hops reports once,
     // at the outermost observation-gated call.
     ("observer-purity", "two_hop_trigger", 1),
@@ -157,6 +159,8 @@ const EXTRA_FIXTURES: [(&str, &str, usize); 10] = [
     ("shard-cross-thread", "write_capture_clean", 0),
     ("shard-shared-state", "static_write_trigger", 1),
     ("shard-shared-state", "static_write_clean", 0),
+    // A variant named only in a match pattern is never constructed.
+    ("span-attribution", "pattern_only_trigger", 1),
 ];
 
 /// Trigger fixtures that must produce *exactly one* finding overall —

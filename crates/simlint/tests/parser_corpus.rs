@@ -160,6 +160,24 @@ macro_rules! twice {
     assert!(file.items.len() >= 9, "lost items: {file:#?}");
 }
 
+#[test]
+fn double_references_in_type_position_parse_without_recovery() {
+    // The lexer folds `&&` into one operator token; in a type it is two
+    // reference levels, in parameters, returns, fields and closure
+    // parameter ascriptions alike.
+    for src in [
+        "fn g(x: &&u8) -> u8 { **x }",
+        "fn h() -> &&'static u8 { &&7 }",
+        "struct S { a: &&'static u8 }",
+        "fn k(v: &[Finding]) -> usize { v.iter().filter(|f: &&Finding| f.ok).count() }",
+        "fn m(x: &u8) { let a: &&u8 = &x; let c = |y: &u64| *y; }",
+    ] {
+        let file = parse(src);
+        assert_eq!(file.recovered_skips, 0, "{src}: {file:#?}");
+        assert_eq!(file.items.len(), 1, "{src}");
+    }
+}
+
 /// Every real source file in this workspace must parse to a non-empty
 /// AST with zero recovery skips — the corpus meta-test that keeps the
 /// parser honest as the simulator underneath it grows.

@@ -2,10 +2,17 @@
 //! in a DES is that every run is bit-for-bit reproducible.
 
 use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
+use mlb_metrics::series::{WindowedCounter, WindowedSeries};
 use mlb_ntier::config::SystemConfig;
 use mlb_ntier::experiment::{run_experiment, ExperimentResult};
+use mlb_ntier::metrics::MetricsConfig;
 use mlb_ntier::trace::TraceConfig;
+use mlb_ntier::Telemetry;
+use mlb_osmodel::machine::GcConfig;
+use mlb_osmodel::pagecache::PageCacheConfig;
 use mlb_simkernel::queue::QueueKind;
+use mlb_simkernel::rng::{fnv1a, fnv1a_extend};
+use mlb_simkernel::time::SimDuration;
 
 fn smoke_with_seed(seed: u64) -> ExperimentResult {
     let mut cfg = SystemConfig::smoke(BalancerConfig::with(
@@ -171,6 +178,115 @@ fn ewma_family_digests_match_golden_values() {
         assert_eq!(log.failed, 0, "{} seed {seed}", kind.name());
         assert_eq!(log.summary.vlrt_total, vlrt, "{} seed {seed}", kind.name());
     }
+}
+
+/// FNV-1a over every public [`Telemetry`] field in declaration order:
+/// per window the sample count and the sum/min/max bits, every counter
+/// window, the histogram buckets, the assignment matrix, the totals and
+/// the phase sums. Unlike the trace and registry digests, this pins the
+/// 50 ms series the paper's figures are drawn from.
+fn telemetry_digest(t: &Telemetry) -> u64 {
+    fn words(h: u64, ws: &[u64]) -> u64 {
+        ws.iter().fold(h, |h, w| fnv1a_extend(h, &w.to_le_bytes()))
+    }
+    fn counter(h: u64, c: &WindowedCounter) -> u64 {
+        words(words(h, &[c.counts().len() as u64]), c.counts())
+    }
+    fn series(h: u64, s: &WindowedSeries) -> u64 {
+        s.windows()
+            .iter()
+            .fold(words(h, &[s.windows().len() as u64]), |h, w| {
+                words(
+                    h,
+                    &[w.count, w.sum.to_bits(), w.min.to_bits(), w.max.to_bits()],
+                )
+            })
+    }
+    fn all(h: u64, ss: &[WindowedSeries]) -> u64 {
+        ss.iter().fold(h, series)
+    }
+    let r = &t.response;
+    let mut h = words(
+        fnv1a(b"telemetry"),
+        &[
+            r.total(),
+            r.vlrt_count(),
+            r.normal_count(),
+            r.avg_ms().to_bits(),
+            r.max().as_micros(),
+        ],
+    );
+    h = words(h, t.histogram.buckets());
+    h = counter(h, &t.vlrt_per_window);
+    h = series(h, &t.rt_trace);
+    h = all(h, &t.apache_queues);
+    h = all(h, &t.tomcat_queues);
+    h = series(h, &t.mysql_queue);
+    h = all(h, &t.apache_util);
+    h = all(h, &t.tomcat_util);
+    h = series(h, &t.mysql_util);
+    h = all(h, &t.apache_iowait);
+    h = all(h, &t.tomcat_iowait);
+    h = all(h, &t.apache_dirty);
+    h = all(h, &t.tomcat_dirty);
+    h = all(h, &t.lb_values);
+    h = t.distribution.iter().flatten().fold(h, counter);
+    h = counter(h, &t.drops_per_window);
+    h = words(
+        h,
+        &[
+            t.drops,
+            t.retransmits,
+            t.failed_requests,
+            t.routing_failures,
+            t.millibottlenecks,
+        ],
+    );
+    let b = &t.phase_breakdown;
+    words(words(h, &[b.count]), &b.sums_us)
+}
+
+#[test]
+fn telemetry_digests_match_golden_values() {
+    // Golden values captured before the system's observers were merged
+    // into one record per request transition and one sample per server
+    // per tick. Every 50 ms series, counter and phase sum must come out
+    // byte-identical; if an intentional model change breaks them,
+    // re-capture in the same commit and say why.
+    for (seed, digest) in [
+        (7u64, 0xa330c8164583292e_u64),
+        (8, 0x5a1b5a182ecf9c9c),
+        (42, 0xef7a5c7dbfc101c2),
+    ] {
+        let r = smoke_with_seed(seed);
+        assert_eq!(
+            telemetry_digest(&r.telemetry),
+            digest,
+            "seed {seed}: telemetry digest {:#018x} drifted from the golden value",
+            telemetry_digest(&r.telemetry)
+        );
+    }
+}
+
+#[test]
+fn gc_telemetry_digest_matches_golden_value() {
+    // The same pin over a run whose millibottlenecks are stop-the-world
+    // collections rather than flushes, with every observer on, so the
+    // GC stall path and the observer fan-out are covered too.
+    let mut cfg = SystemConfig::smoke(BalancerConfig::with(
+        PolicyKind::TotalRequest,
+        MechanismKind::Original,
+    ));
+    cfg.tomcat_machine.page_cache = Some(PageCacheConfig::effectively_disabled());
+    cfg.tomcat_machine.gc = Some(GcConfig {
+        period: SimDuration::from_secs(2),
+        pause: SimDuration::from_millis(150),
+    });
+    cfg.trace = TraceConfig::enabled_default();
+    cfg.metrics = MetricsConfig::enabled_default();
+    let r = run_experiment(cfg).expect("smoke config is valid");
+    assert!(r.telemetry.millibottlenecks > 0);
+    assert_eq!(telemetry_digest(&r.telemetry), 0x512c0dd546c2f94e);
 }
 
 #[test]

@@ -50,16 +50,8 @@ fn trace_segment_totals_tie_out_against_phase_breakdown() {
         }
     }
     assert_eq!(counted, b.count, "trace/breakdown completed-request counts");
-    let breakdown_totals = [
-        b.retransmit_wait_us,
-        b.apache_admission_us,
-        b.apache_cpu_us,
-        b.routing_us,
-        b.backend_us,
-        b.response_us,
-    ];
     assert_eq!(
-        totals, breakdown_totals,
+        totals, b.sums_us,
         "per-segment µs totals diverge between traces and PhaseBreakdown"
     );
 }
